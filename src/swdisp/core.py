@@ -275,7 +275,8 @@ class BathymetryField:
 
     All derivatives are exact closed forms for analytic profiles; tabulated
     profiles use centered differences in space.  By separability the mixed
-    derivatives d^2 z_b/dx dt and d^3 z_b/dx dt^2 vanish identically.
+    derivatives d^2 z_b/dx dt and d^3 z_b/dx dt^2 vanish identically, so
+    the models carry no mixed-derivative forcing.
     """
 
     profile: FlatBed | GaussianBump | SampledBed
@@ -296,12 +297,6 @@ class BathymetryField:
 
     def accel(self, x: np.ndarray, t: float) -> np.ndarray:
         return np.full_like(np.asarray(x, dtype=float), self.motion.accel(t))
-
-    def mixed_xt(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def mixed_xtt(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     @property
     def is_static(self) -> bool:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .closures import depth_integrated_w_squared, friction_kappa
 from .core import DRY_THRESHOLD
-from .models import ModelTier, pointwise_friction_coefficient, _pad
+from .models import (ModelTier, _centered_difference, _pad,
+                     pointwise_friction_coefficient)
 
 __all__ = [
     "EnergyReport",
@@ -77,7 +78,7 @@ def energy_hydro(state, bathy, params, grid):
     rate = -float(np.sum(H * params.p_atm.rate_t(x, t)) * dx)
     if params.nu > 0.0:
         up = _pad(u, grid.boundary, -1.0)
-        dudx = (up[3:-1] - up[1:-3]) / (2.0 * dx)
+        dudx = _centered_difference(up[1:-1], dx)
         rate -= float(np.sum(4.0 * params.nu * H * dudx**2) * dx)
     if params.k_l > 0.0 or params.k_t > 0.0:
         coeff = pointwise_friction_coefficient(state, bathy, params, grid,
@@ -106,8 +107,8 @@ def energy_extended(state, bathy, params, grid, tier):
 
     zp = _pad(zb, grid.boundary, 1.0)
     up = _pad(u, grid.boundary, -1.0)
-    dzb_dx = (zp[3:-1] - zp[1:-3]) / (2.0 * dx)
-    du_dx = (up[3:-1] - up[1:-3]) / (2.0 * dx)
+    dzb_dx = _centered_difference(zp[1:-1], dx)
+    du_dx = _centered_difference(up[1:-1], dx)
     dzb_dt = bathy.rate(x, t)
 
     wsq = depth_integrated_w_squared(H, eta, zb, u, du_dx, dzb_dx, dzb_dt)

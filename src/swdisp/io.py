@@ -29,7 +29,7 @@ from .core import (AnalyticPressure, BathymetryField, Boundary, FlatBed,
                    GradientPressure, Grid, PhysicalParams, RegimeClass,
                    SampledBed, ScalingRegime, SinusoidMotion, StaticBed,
                    ZeroPressure, classify_regime)
-from .models import DRY_THRESHOLD, ModelTier, _pad
+from .models import DRY_THRESHOLD, ModelTier, _centered_difference, _pad
 from .solver import StepControls
 
 __all__ = [
@@ -644,7 +644,7 @@ def _build_tag() -> str:
 
 def _centered_gradient(values, boundary, dx, parity=1.0):
     padded = _pad(values, boundary, parity=parity)
-    return (padded[3:-1] - padded[1:-3]) / (2.0 * dx)
+    return _centered_difference(padded[1:-1], dx)
 
 
 def _derived_columns(state, bathy, params, grid, tier, fields):

@@ -5,12 +5,13 @@ piecewise-linear reconstruction, Rusanov fluxes, hydrostatic reconstruction
 of face depths) with viscous momentum diffusion, atmospheric-pressure
 gradients, moving-bottom mass exchange, and linear-in-velocity bed friction.
 
-The dispersive tiers reuse the hydrostatic tendencies for their advective
-core and add an implicit elliptic problem ``A[a] = F`` for the acceleration
-``a = d(u_bar)/dt``: ``A`` collects the depth-integrated inertia of the
-non-hydrostatic pressure, ``F`` collects all explicit forcings.  The banded
-structure of ``A`` is returned as stencil diagonals so the linear-algebra
-layer can apply boundary folding and solve it.
+Every tier poses one implicit problem ``A[a] = F`` for the acceleration
+``a = d(u_bar)/dt``: ``A`` collects the depth-integrated inertia, ``F`` all
+explicit forcings.  For the hydrostatic tier ``A = diag(H)``.  The
+dispersive tiers reuse the hydrostatic tendencies for their advective core
+and add the inertia of the non-hydrostatic pressure, which makes ``A``
+tridiagonal.  ``A`` is built from its stencil diagonals so the
+linear-algebra layer can apply boundary folding and solve it.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
@@ -78,24 +79,19 @@ def _pad(values, boundary, parity=1.0):
     return out
 
 
-def _cell_gradient(padded, dx):
-    """Centered derivative at the padded interior (ghost ring of width 1).
+def _centered_difference(values, dx):
+    """Centered first derivative at the interior points of ``values``.
 
-    Input has ``n + 2 * NGHOST`` entries; output has ``n + 2`` entries
-    aligned with cells ``-1 .. n`` so that divergence of the result can be
-    taken once more at the ``n`` real cells.
+    The output has two entries fewer than the input: a padded array
+    (``n + 2 * NGHOST`` entries) gives its width-1 ring (cells ``-1 .. n``),
+    and a ring array gives the ``n`` real cells.
     """
-    return (padded[2:] - padded[:-2]) / (2.0 * dx)
+    return (values[2:] - values[:-2]) / (2.0 * dx)
 
 
 def _cell_curvature(padded, dx):
     """Centered second derivative at the padded interior (width-1 ring)."""
     return (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / dx**2
-
-
-def _divergence(cellwise, dx):
-    """Centered first derivative of a width-1-ring array at the real cells."""
-    return (cellwise[2:] - cellwise[:-2]) / (2.0 * dx)
 
 
 def _interior(cellwise):
@@ -205,7 +201,7 @@ def _fv_core(state, bathy, params, grid, *, first_order, stats,
     else:
         dqdt = -(flux_q[1:] - flux_q[:-1]) / dx
         # non-conservative surface-gradient form of the pressure
-        dqdt -= g * H * _divergence(etap[1:-1], dx)
+        dqdt -= g * H * _centered_difference(etap[1:-1], dx)
 
     # moving bottom: a rising bed displaces no depth-averaged mass directly
     # (H evolves only through the flux divergence) but shows up in eta; all
@@ -289,7 +285,7 @@ def pointwise_friction_coefficient(state, bathy, params, grid, tier):
     x = grid.cell_centers
     zb = bathy.elevation(x, state.t)
     zp = _pad(zb, grid.boundary, 1.0)
-    zbx = _divergence(zp[1:-1], grid.dx)
+    zbx = _centered_difference(zp[1:-1], grid.dx)
     H = state.H
     u = state.velocity()
     kappa = friction_kappa(u, zbx, H, params)
@@ -303,13 +299,15 @@ def pointwise_friction_coefficient(state, bathy, params, grid, tier):
 
 @dataclass
 class DispersiveSystem:
-    """Implicit acceleration problem ``A[a] = F`` of a dispersive tier.
+    """Implicit acceleration problem ``A[a] = F`` of a tier.
 
     Attributes
     ----------
     A : swdisp.solver.BandedMatrix
-        Depth-integrated inertia operator (symmetric-positive structure,
-        diagonally dominant for resolved depths).
+        Depth-integrated inertia operator: tridiagonal for the dispersive
+        tiers (symmetric-positive structure, diagonally dominant for
+        resolved depths, two corners on periodic domains), ``diag(H)`` for
+        the hydrostatic tier.
     F : ndarray
         Explicit right-hand side (advective core plus dispersive,
         moving-bottom, atmospheric, and friction-gradient forcings).
@@ -347,10 +345,6 @@ def _operator_stencils(Hc, zc, coeff1_cells, coeff2_cells, slope_c1,
 
     if boundary is Boundary.WALL:
         # no dispersive flux through a wall face
-        c1_face_L = c1_face_L.copy()
-        c1_face_R = c1_face_R.copy()
-        c2_face_L = c2_face_L.copy()
-        c2_face_R = c2_face_R.copy()
         c1_face_L[0] = c2_face_L[0] = 0.0
         c1_face_R[-1] = c2_face_R[-1] = 0.0
 
@@ -366,10 +360,10 @@ def _operator_stencils(Hc, zc, coeff1_cells, coeff2_cells, slope_c1,
     return {-1: sub1, 0: diag, 1: sup1}
 
 
-def _dry_guard(stencils, H, friction_like=None):
+def _dry_guard(stencils, H):
     """Decouple dry cells: identity row so the solve returns ``a = F = 0``."""
     dry = H < DRY_THRESHOLD
-    if not np.any(dry):
+    if not dry.any():
         return stencils
     out = {}
     for k, arr in stencils.items():
@@ -387,13 +381,15 @@ def _dry_guard(stencils, H, friction_like=None):
 def assemble_dispersive(state, bathy, params, grid, tier, *,
                         include_pointwise_friction=True, first_order=False,
                         stats=None, sources=None, debug=False):
-    """Build the implicit system ``A[a] = F`` of a dispersive tier.
+    """Build the implicit system ``A[a] = F`` of a tier.
 
     Parameters mirror :func:`hydrostatic_tendency`; ``tier`` selects the
-    vertical closure.  ``include_pointwise_friction=False`` leaves the
-    damping ``-c u_bar`` out of ``F`` and reports ``c`` in
-    ``DispersiveSystem.friction`` for implicit treatment.  ``debug`` turns
-    on diagonal-dominance and residual checking in the linear algebra.
+    vertical closure (the hydrostatic tier is the diagonal case
+    ``A = diag(H)``, ``F = dq/dt - u_bar dH/dt``).
+    ``include_pointwise_friction=False`` leaves the damping ``-c u_bar`` out
+    of ``F`` and reports ``c`` in ``DispersiveSystem.friction`` for implicit
+    treatment.  ``debug`` turns on diagonal-dominance and residual checking
+    in the linear algebra.
 
     Returns
     -------
@@ -401,17 +397,48 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     """
     from .solver import BandedMatrix
 
+    H = state.H
+    u = state.velocity()
     if tier is ModelTier.HYDROSTATIC:
-        raise ValueError("the hydrostatic tier has no implicit acceleration "
-                         "problem; use hydrostatic_tendency")
+        dHdt, dqdt = hydrostatic_tendency(
+            state, bathy, params, grid, include_friction=False,
+            first_order=first_order, stats=stats, sources=sources)
+        F = dqdt - u * dHdt
+        stencils = {0: H}
+    else:
+        stencils, F, dHdt = _dispersive_terms(
+            state, bathy, params, grid, tier, u, first_order=first_order,
+            stats=stats, sources=sources)
+    A = BandedMatrix.from_stencils(_dry_guard(stencils, H), grid.boundary)
 
+    if debug:  # row sums of |A| in O(n)
+        magnitude = BandedMatrix(np.abs(A.bands), tuple(map(abs, A.corners)))
+        diag = magnitude.bands[1]
+        offdiag = magnitude.matvec(np.ones(A.n)) - diag
+        if np.any(diag < offdiag - 1e-12 * diag):
+            raise AssertionError("inertia operator lost diagonal dominance")
+
+    # ---- pointwise friction ----------------------------------------------
+    fric = pointwise_friction_coefficient(state, bathy, params, grid, tier)
+    if include_pointwise_friction and np.any(fric):
+        F = F - fric * u
+
+    wet = H >= DRY_THRESHOLD
+    if not wet.all():
+        F = np.where(wet, F, 0.0)
+
+    return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
+
+
+def _dispersive_terms(state, bathy, params, grid, tier, u, *, first_order,
+                      stats, sources):
+    """Stencils of ``A``, ``F`` without pointwise friction, and ``dH/dt``."""
     n = grid.n_cells
     dx = grid.dx
     bc = grid.boundary
     x = grid.cell_centers
     t = state.t
     H = state.H
-    u = state.velocity()
     zb = bathy.elevation(x, t)
     eta = zb + H
 
@@ -442,10 +469,10 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
 
     # ---- shared discrete fields -----------------------------------------
     ring = slice(1, -1)
-    s_ring = _cell_gradient(up, dx)            # du/dx at cells -1..n
-    zbx_ring = _cell_gradient(zp, dx)
-    Hx_ring = _cell_gradient(Hp, dx)
-    etax_ring = _cell_gradient(etap, dx)
+    s_ring = _centered_difference(up, dx)  # du/dx at cells -1..n
+    zbx_ring = _centered_difference(zp, dx)
+    Hx_ring = _centered_difference(Hp, dx)
+    etax_ring = _centered_difference(etap, dx)
     u_ring = up[ring]
     H_ring = Hp[ring]
     z_ring = zp[ring]
@@ -481,36 +508,23 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
 
     stencils = _operator_stencils(H, zp[ring], coeff1[ring], coeff2[ring],
                                   slope_c1, slope_c2, zbx, dx, bc)
-    stencils = _dry_guard(stencils, H)
-    A = BandedMatrix.from_stencils(stencils, bc)
-
-    if debug:
-        dense = A.todense()
-        offdiag = np.sum(np.abs(dense), axis=1) - np.abs(np.diag(dense))
-        if np.any(np.abs(np.diag(dense)) < offdiag - 1e-12 * np.abs(np.diag(dense))):
-            raise AssertionError("inertia operator lost diagonal dominance")
 
     # ---- explicit dispersive forcings ------------------------------------
     if tier in (ModelTier.NONHYDRO1, ModelTier.PEREGRINE_INVISCID):
         if not inviscid and np.any(kappa):
             flux_k = (kappa_ring / 6.0) * z_ring * (z_ring * s_ring
                                                     + 7.0 * zbx_ring * u_ring)
-            F = F + _divergence(flux_k, dx)
+            F = F + _centered_difference(flux_k, dx)
             F = F - (kappa / 2.0) * zbx * (zb * s - zbx * u)
         if bed_rate_scalar != 0.0:
             mixed = bed_rate_scalar * s_ring          # d/dx(u db/dt)
-            F = F - _divergence((z_ring**2 / 2.0) * mixed, dx)
+            F = F - _centered_difference((z_ring**2 / 2.0) * mixed, dx)
             F = F + zbx * zb * _interior(mixed)
-        # mixed space-time bed curvature forcing (identically zero for
-        # separable bed motion, kept for completeness)
-        mixed_tt = bathy.mixed_xtt(x, t)
-        if np.any(mixed_tt):
-            F = F - (zb**2 / 2.0) * mixed_tt
     else:  # NONHYDRO2
         uxx_ring = _cell_curvature(up, dx)
         zbxx_ring = _cell_curvature(zp, dx)
-        m_ring = _cell_gradient(zp * up, dx)      # d(z_b u)/dx
-        divq_ring = _cell_gradient(Hp * up, dx)
+        m_ring = _centered_difference(zp * up, dx)  # d(z_b u)/dx
+        divq_ring = _centered_difference(Hp * up, dx)
         deta_dt_ring = bed_rate_scalar - divq_ring
 
         # stationary quadratic-velocity pressure work
@@ -520,7 +534,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
 
         # time-derivative-bearing depth-averaged pressure part
         P1_ring = -H_ring * deta_dt_ring * (eta_ring * s_ring - m_ring)
-        F = F - _divergence(P1_ring, dx)
+        F = F - _centered_difference(P1_ring, dx)
         # and its bottom-pressure partner
         pb = (_interior(deta_dt_ring) * _interior(m_ring)
               - eta * _interior(deta_dt_ring) * s
@@ -529,31 +543,22 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
 
         if bed_rate_scalar != 0.0:
             mixed = bed_rate_scalar * s_ring
-            F = F - _divergence((H_ring**2 / 2.0) * mixed, dx)
+            F = F - _centered_difference((H_ring**2 / 2.0) * mixed, dx)
             F = F - zbx * H * _interior(mixed)
         accel_scalar = float(bed_accel[0]) if np.ndim(bed_accel) else float(bed_accel)
         if accel_scalar != 0.0:
             F = F + zb * zbx * accel_scalar
-            F = F - 0.5 * accel_scalar * _divergence(H_ring**2, dx)
+            F = F - 0.5 * accel_scalar * _centered_difference(H_ring**2, dx)
 
         if np.any(kappa):
             fluxg = kappa_ring * H_ring * (
                 (H_ring / 6.0) * s_ring
                 - ((7.0 / 6.0) * zbx_ring + etax_ring / 3.0) * u_ring)
-            F = F + _divergence(fluxg, dx)
+            F = F + _centered_difference(fluxg, dx)
             F = F + kappa * zbx * ((0.5 * _interior(Hx_ring) + zbx) * u
                                    + (H / 2.0) * s)
 
-    # ---- pointwise friction ----------------------------------------------
-    fric = pointwise_friction_coefficient(state, bathy, params, grid, tier)
-    if include_pointwise_friction and np.any(fric):
-        F = F - fric * u
-
-    wet = H >= DRY_THRESHOLD
-    if not np.all(wet):
-        F = np.where(wet, F, 0.0)
-
-    return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
+    return stencils, F, dHdt
 
 
 def _nh2_stationary_extras_from_rings(H_ring, u_ring, s_ring, Hx_ring,
@@ -569,7 +574,7 @@ def _nh2_stationary_extras_from_rings(H_ring, u_ring, s_ring, Hx_ring,
         Hm_minus_H = 2.0 * kappa_ring**2 * H_ring**3 / (15.0 * params.nu**2)
     else:
         Hm_minus_H = np.zeros_like(H_ring)
-    out = -_divergence(Hm_minus_H * u_ring**2, dx)
+    out = -_centered_difference(Hm_minus_H * u_ring**2, dx)
 
     depth_avg = (H_ring / 6.0) * (
         -4.0 * H_ring**2 * s_ring**2
@@ -578,17 +583,12 @@ def _nh2_stationary_extras_from_rings(H_ring, u_ring, s_ring, Hx_ring,
         + 9.0 * H_ring * zbx_ring * s_ring * u_ring
         + 3.0 * H_ring * zbxx_ring * u_ring**2
         + 6.0 * zbx_ring * Hx_ring * u_ring**2)
-    out = out - _divergence(depth_avg, dx)
+    out = out - _centered_difference(depth_avg, dx)
 
-    bottom_ring = (-0.5 * _cell_gradient_from_values(H_ring**2 * s_ring * u_ring, dx)
-                   + _cell_gradient_from_values(H_ring * zbx_ring * u_ring**2, dx))
+    bottom_ring = (-0.5 * _centered_difference(H_ring**2 * s_ring * u_ring, dx)
+                   + _centered_difference(H_ring * zbx_ring * u_ring**2, dx))
     out = out - zbx * bottom_ring
     return out
-
-
-def _cell_gradient_from_values(ring_values, dx):
-    """Centered derivative of a width-1-ring array, evaluated at real cells."""
-    return (ring_values[2:] - ring_values[:-2]) / (2.0 * dx)
 
 
 def steady_residual(state, bathy, params, grid, tier):
@@ -632,9 +632,9 @@ def steady_residual(state, bathy, params, grid, tier):
     Hp = _pad(H, bc, 1.0)
     up = _pad(u, bc, -1.0)
     zp = _pad(zb, bc, 1.0)
-    s_ring = _cell_gradient(up, dx)
-    zbx_ring = _cell_gradient(zp, dx)
-    Hx_ring = _cell_gradient(Hp, dx)
+    s_ring = _centered_difference(up, dx)
+    zbx_ring = _centered_difference(zp, dx)
+    Hx_ring = _centered_difference(Hp, dx)
     uxx_ring = _cell_curvature(up, dx)
     zbxx_ring = _cell_curvature(zp, dx)
     zbx = _interior(zbx_ring)

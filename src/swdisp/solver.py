@@ -1,10 +1,12 @@
-"""Banded linear algebra and semi-implicit time integration.
+"""Tridiagonal linear algebra and semi-implicit time integration.
 
-The implicit acceleration problems of the dispersive tiers are pentadiagonal
-(plus a few wrap-around entries on periodic domains).  They are solved with
-LAPACK's banded factorization via :func:`scipy.linalg.solve_banded`; periodic
-corner entries are folded in with the Woodbury identity, so the factorized
-core stays banded and diagonally dominant.
+Every tier's implicit acceleration problem is tridiagonal (plus two
+wrap-around corners on periodic domains); the hydrostatic tier's is the
+diagonal case.  A diagonal matrix is solved by division, any other by
+LAPACK's tridiagonal solver via :func:`scipy.linalg.solve_banded`; periodic
+corners are removed with the cyclic-tridiagonal Sherman-Morrison step
+(Temperton 1975; Numerical Recipes section 2.7), one extra right-hand side
+in the same call.
 
 Time integration is a two-stage explicit-in-flux, implicit-in-friction
 scheme: each stage advances mass in flux form (exact conservation), solves
@@ -16,18 +18,13 @@ second-order accuracy in time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .core import DRY_THRESHOLD, Boundary, FlowState
-from .models import (
-    ModelTier,
-    assemble_dispersive,
-    hydrostatic_tendency,
-    pointwise_friction_coefficient,
-)
+from .models import ModelTier, assemble_dispersive
 
 __all__ = [
     "SolverError",
@@ -46,112 +43,117 @@ class SolverError(RuntimeError):
 
 @dataclass
 class BandedMatrix:
-    """Square banded matrix in LAPACK band storage with boundary closure.
+    """Tridiagonal matrix in LAPACK ``(1, 1)`` band storage, plus the two
+    wrap-around corners of a periodic domain.
 
-    ``bands[ku + i - j, j]`` holds ``A[i, j]`` for ``|i - j| <= kl``;
-    ``corners`` lists wrap-around entries ``(i, j, value)`` outside the band
-    (periodic coupling), handled in :meth:`solve` by low-rank correction of
-    the banded factorization.
+    ``bands[1 + i - j, j]`` holds ``A[i, j]`` for ``|i - j| <= 1``: row 0 is
+    the super-diagonal, row 1 the diagonal, row 2 the sub-diagonal
+    (``bands[0, 0]`` and ``bands[2, -1]`` are unused and zero).  ``corners``
+    is ``(A[0, n-1], A[n-1, 0])`` on a periodic domain with wrap-around
+    coupling and empty otherwise; :meth:`solve` removes it with one
+    Sherman-Morrison correction.
     """
 
-    n: int
-    kl: int
-    ku: int
     bands: np.ndarray
-    corners: list = field(default_factory=list)
+    corners: tuple = ()
+
+    @property
+    def n(self):
+        return self.bands.shape[1]
 
     @classmethod
     def from_stencils(cls, stencils, boundary):
         """Assemble from per-row stencil diagonals.
 
         ``stencils[k][i]`` is the coefficient of unknown ``i + k`` in row
-        ``i`` (``|k| <= 2``).  Out-of-range references follow ``boundary``:
-        periodic wraps them around, wall treats the ghost unknowns as zero
-        (drops the entry), copy folds them onto the nearest boundary unknown.
+        ``i`` (``|k| <= 1``; a missing offset is zero).  The two ghost
+        references (row 0 to unknown -1, row n-1 to unknown n) follow
+        ``boundary``: periodic wraps them into the corners, wall treats the
+        ghost unknowns as zero (drops the entry), copy folds them onto the
+        diagonal.
         """
         arrays = {int(k): np.asarray(v, dtype=float) for k, v in stencils.items()}
+        if not set(arrays) <= {-1, 0, 1}:
+            raise ValueError("stencil offset exceeds bandwidth 1")
         n = next(iter(arrays.values())).size
-        kl = ku = 2
-        bands = np.zeros((kl + ku + 1, n))
-        corners = []
-        for k, coeffs in arrays.items():
-            if coeffs.size != n:
-                raise ValueError("stencil arrays must share one length")
-            if abs(k) > ku:
-                raise ValueError("stencil offset exceeds bandwidth 2")
-            if k == 0:
-                bands[ku] += coeffs
-                continue
-            rows = np.arange(0, n - k) if k > 0 else np.arange(-k, n)
-            bands[ku - k, rows + k] += coeffs[rows]
-            out_rows = range(n - k, n) if k > 0 else range(0, -k)
-            for i in out_rows:
-                value = coeffs[i]
-                if value == 0.0:
-                    continue
-                j = i + k
-                if boundary is Boundary.PERIODIC:
-                    corners.append((i, j % n, value))
-                elif boundary is Boundary.COPY:
-                    jj = min(max(j, 0), n - 1)
-                    bands[ku + i - jj, jj] += value
-                # Boundary.WALL: ghost unknowns vanish, entry dropped
-        return cls(n=n, kl=kl, ku=ku, bands=bands, corners=corners)
+        if any(v.size != n for v in arrays.values()):
+            raise ValueError("stencil arrays must share one length")
+        zero = np.zeros(n)
+        sub, sup = arrays.get(-1, zero), arrays.get(1, zero)
+        bands = np.zeros((3, n))
+        bands[0, 1:] = sup[:-1]
+        bands[1] = arrays.get(0, zero)
+        bands[2, :-1] = sub[1:]
+        low, high = sub[0], sup[-1]
+        corners = ()
+        if boundary is Boundary.PERIODIC and (low != 0.0 or high != 0.0):
+            corners = (low, high)
+        elif boundary is Boundary.COPY:
+            bands[1, 0] += low
+            bands[1, -1] += high
+        # Boundary.WALL: ghost unknowns vanish, entries dropped
+        return cls(bands=bands, corners=corners)
 
     def todense(self):
         """Dense ``(n, n)`` copy (for diagnostics and small-system checks)."""
-        A = np.zeros((self.n, self.n))
-        for off in range(-self.kl, self.ku + 1):
-            row = self.bands[self.ku - off]
-            if off >= 0:
-                idx = np.arange(0, self.n - off)
-                A[idx, idx + off] += row[off:]
-            else:
-                idx = np.arange(-off, self.n)
-                A[idx, idx + off] += row[: self.n + off]
-        for i, j, v in self.corners:
-            A[i, j] += v
+        A = (np.diag(self.bands[1]) + np.diag(self.bands[0, 1:], 1)
+             + np.diag(self.bands[2, :-1], -1))
+        if self.corners:
+            A[0, -1] += self.corners[0]
+            A[-1, 0] += self.corners[1]
         return A
 
     def matvec(self, x):
         """Product ``A @ x``."""
         x = np.asarray(x, dtype=float)
-        y = np.zeros(self.n)
-        for off in range(-self.kl, self.ku + 1):
-            row = self.bands[self.ku - off]
-            if off >= 0:
-                y[: self.n - off] += row[off:] * x[off:]
-            else:
-                y[-off:] += row[: self.n + off] * x[: self.n + off]
-        for i, j, v in self.corners:
-            y[i] += v * x[j]
+        y = self.bands[1] * x
+        y[:-1] += self.bands[0, 1:] * x[1:]
+        y[1:] += self.bands[2, :-1] * x[:-1]
+        if self.corners:
+            y[0] += self.corners[0] * x[-1]
+            y[-1] += self.corners[1] * x[0]
         return y
 
     def solve(self, b, check=False):
-        """Solve ``A x = b`` by banded LU (+ Woodbury corner correction).
+        """Solve ``A x = b``; a singular matrix raises :class:`SolverError`.
 
+        A diagonal matrix is solved by division, any other by LAPACK
+        ``?gtsv``.  Corners are split off as ``A = T + u v^T`` with
+        ``u = (gamma, 0, .., 0, A[n-1, 0])``, ``v = (1, 0, .., 0,
+        A[0, n-1] / gamma)``, ``gamma = -A[0, 0]``; ``T y = b`` and
+        ``T z = u`` share one call and ``x = y - (v.y / (1 + v.z)) z``.
         With ``check=True`` the residual must satisfy
         ``max|A x - b| <= 1e-10 max|b|`` or :class:`SolverError` is raised.
         """
         b = np.asarray(b, dtype=float)
-        try:
-            if not self.corners:
-                x = solve_banded((self.kl, self.ku), self.bands, b)
-            else:
-                r = len(self.corners)
-                U = np.zeros((self.n, r))
-                cols = np.empty(r, dtype=int)
-                for m, (i, j, v) in enumerate(self.corners):
-                    U[i, m] = v
-                    cols[m] = j
-                X = solve_banded((self.kl, self.ku), self.bands,
-                                 np.column_stack([b, U]))
-                x0 = X[:, 0]
-                Z = X[:, 1:]
-                cap = np.eye(r) + Z[cols, :]
-                x = x0 - Z @ np.linalg.solve(cap, x0[cols])
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverError(f"banded solve failed: {exc}") from exc
+        diag = self.bands[1]
+        if not (self.corners or self.bands[::2].any()):
+            if not diag.all():
+                raise SolverError("banded solve failed: singular matrix")
+            x = b / diag
+        else:
+            bands, rhs = self.bands, b
+            if self.corners:
+                upper, lower = self.corners
+                gamma = -diag[0]
+                ratio = upper / gamma
+                bands = bands.copy()
+                bands[1, 0] -= gamma
+                bands[1, -1] -= lower * ratio
+                rhs = np.zeros((self.n, 2))
+                rhs[:, 0] = b
+                rhs[0, 1] = gamma
+                rhs[-1, 1] += lower
+            try:
+                x = solve_banded((1, 1), bands, rhs)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                raise SolverError(f"banded solve failed: {exc}") from exc
+            if self.corners:
+                y, z = x[:, 0], x[:, 1]
+                denom = 1.0 + z[0] + ratio * z[-1]
+                if denom == 0.0:
+                    raise SolverError("banded solve failed: singular matrix")
+                x = y - ((y[0] + ratio * y[-1]) / denom) * z
         if check:
             scale = np.max(np.abs(b)) if b.size else 0.0
             resid = np.max(np.abs(self.matvec(x) - b)) if b.size else 0.0
@@ -213,22 +215,13 @@ def _stage(state, bathy, params, grid, tier, dt, *, stats, sources,
     wet0 = H0 >= DRY_THRESHOLD
     H_safe = np.where(wet0, H0, 1.0)
 
-    if tier is ModelTier.HYDROSTATIC:
-        dHdt, dqdt = hydrostatic_tendency(
-            state, bathy, params, grid, include_friction=False,
-            first_order=first_order, stats=stats, sources=sources)
-        a = np.where(wet0, (dqdt - u0 * dHdt) / H_safe, 0.0)
-        fric = pointwise_friction_coefficient(state, bathy, params, grid, tier)
-    else:
-        system = assemble_dispersive(
-            state, bathy, params, grid, tier,
-            include_pointwise_friction=False, first_order=first_order,
-            stats=stats, sources=sources, debug=debug)
-        a = system.A.solve(system.F, check=debug)
-        dHdt = system.dHdt
-        fric = system.friction
+    system = assemble_dispersive(
+        state, bathy, params, grid, tier,
+        include_pointwise_friction=False, first_order=first_order,
+        stats=stats, sources=sources, debug=debug)
+    a = system.A.solve(system.F, check=debug)
 
-    H1 = H0 + dt * dHdt
+    H1 = H0 + dt * system.dHdt
     negative = H1 < 0.0
     if np.any(negative):
         if stats is not None:
@@ -236,7 +229,7 @@ def _stage(state, bathy, params, grid, tier, dt, *, stats, sources,
                                           + int(np.count_nonzero(negative)))
         H1 = np.where(negative, 0.0, H1)
 
-    u1 = (u0 + dt * a) / (1.0 + dt * np.where(wet0, fric / H_safe, 0.0))
+    u1 = (u0 + dt * a) / (1.0 + dt * np.where(wet0, system.friction / H_safe, 0.0))
     u1 = np.where(H1 >= DRY_THRESHOLD, u1, 0.0)
     return FlowState(t=state.t + dt, H=H1, q=H1 * u1)
 

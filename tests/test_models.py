@@ -1,5 +1,5 @@
 """Tests for the semi-discrete model assembly: hydrostatic finite-volume
-tendencies, the banded implicit dispersive operator, and stationary
+tendencies, the tridiagonal implicit operator, and stationary
 residuals.
 
 Oracle strategy: the flat-bottom implicit operator is compared against an
@@ -7,6 +7,8 @@ independently constructed dense matrix; stationary difference terms for the
 fully nonlinear tier are re-assembled here with separate centered-difference
 code; balance properties are asserted at machine precision.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,21 +203,22 @@ def test_lake_at_rest_dispersive_rhs_vanishes(tier, boundary):
 
 def test_vanishing_bottom_reduces_to_hydrostatic():
     """z_b == 0 annihilates every dispersive term: A = diag(H) and F equals
-    the hydrostatic right-hand side."""
+    the hydrostatic right-hand side, which is what the hydrostatic tier
+    assembles on any bed."""
     grid = Grid(0.0, 2.0, 40)
     bathy = BathymetryField(FlatBed(level=0.0))
     params = PhysicalParams(g=G, nu=2e-3, k_l=0.01, k_t=0.02)
-    rng = np.random.default_rng(8)
     x = grid.cell_centers
     H = 1.0 + 0.1 * np.sin(2 * np.pi * x / grid.length)
     u = 0.2 * np.cos(2 * np.pi * x / grid.length)
     state = FlowState(t=0.0, H=H, q=H * u)
-    sys = assemble_dispersive(state, bathy, params, grid, ModelTier.NONHYDRO1)
-    np.testing.assert_allclose(sys.A.todense(), np.diag(H), rtol=0, atol=1e-14)
     dHdt, dqdt = hydrostatic_tendency(state, bathy, params, grid)
     F_hydro = dqdt - u * dHdt
-    np.testing.assert_allclose(sys.F, F_hydro, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(sys.dHdt, dHdt, rtol=0, atol=0.0)
+    for tier in (ModelTier.NONHYDRO1, ModelTier.HYDROSTATIC):
+        sys = assemble_dispersive(state, bathy, params, grid, tier)
+        np.testing.assert_allclose(sys.A.todense(), np.diag(H), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sys.F, F_hydro, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sys.dHdt, dHdt, rtol=0, atol=0.0)
 
 
 @pytest.mark.parametrize("tier", [ModelTier.NONHYDRO1, ModelTier.NONHYDRO2])
@@ -235,12 +238,19 @@ def test_operator_is_diagonally_dominant_on_random_states(tier):
         assert np.all(diag > off)
 
 
-def test_assemble_rejects_hydrostatic_tier():
-    grid = Grid(0.0, 1.0, 8)
-    bathy = BathymetryField(FlatBed(-1.0))
-    state = lake_at_rest(grid, bathy)
-    with pytest.raises(ValueError):
-        assemble_dispersive(state, bathy, PhysicalParams(), grid, ModelTier.HYDROSTATIC)
+def test_debug_dominance_check_needs_no_dense_matrix():
+    grid = Grid(0.0, 40.0, 2048)
+    bathy = BathymetryField(GaussianBump(20.0, 2.0, 0.3, -1.0))
+    params = PhysicalParams(g=G, nu=1e-3, k_l=0.01)
+    state = smooth_random_state(grid, bathy, np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        assemble_dispersive(state, bathy, params, grid, ModelTier.NONHYDRO1,
+                            debug=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # a dense 2048 x 2048 copy alone is 32 MiB
 
 
 def test_implicit_solve_reproduces_dense_solution():
