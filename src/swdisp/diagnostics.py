@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closures import depth_integrated_w_squared, friction_kappa
-from .core import DRY_THRESHOLD
-from .models import (ModelTier, _centered_difference, _pad,
-                     pointwise_friction_coefficient)
+from .closures import depth_integrated_w_squared
+from .models import (ModelTier, _fields, _friction_coefficient, _interior,
+                     _ring_kappa)
 
 __all__ = [
     "EnergyReport",
@@ -61,31 +60,30 @@ class EnergyReport:
 
 def energy_hydro(state, bathy, params, grid):
     """Hydrostatic energy report (E_ext coincides with E_h here)."""
-    x = grid.cell_centers
-    dx = grid.dx
-    t = state.t
-    H = state.H
-    u = state.velocity()
-    zb = bathy.elevation(x, t)
-    eta = zb + H
+    f = _fields(state, bathy, grid)
+    return _energy_hydro(f, params, _ring_kappa(f, params))
+
+
+def _energy_hydro(f, params, kappa_ring):
+    """:func:`energy_hydro` from a state's fields and its wall-law kappa."""
+    x, t, dx, H, u = f.x, f.t, f.dx, f.H, f.u
     p_a = params.p_atm.value(x, t)
 
-    E_h = float(np.sum(H * u**2 / 2 + params.g * H * (eta + zb) / 2
+    E_h = float(np.sum(H * u**2 / 2 + params.g * H * (f.eta + f.zb) / 2
                        + H * p_a) * dx)
     mass = float(np.sum(H) * dx)
-    momentum = float(np.sum(state.q) * dx)
+    momentum = float(np.sum(f.q) * dx)
 
     rate = -float(np.sum(H * params.p_atm.rate_t(x, t)) * dx)
     if params.nu > 0.0:
-        up = _pad(u, grid.boundary, -1.0)
-        dudx = _centered_difference(up[1:-1], dx)
+        dudx = _interior(f.ux_ring)
         rate -= float(np.sum(4.0 * params.nu * H * dudx**2) * dx)
-    if params.k_l > 0.0 or params.k_t > 0.0:
-        coeff = pointwise_friction_coefficient(state, bathy, params, grid,
-                                               ModelTier.HYDROSTATIC)
+    if kappa_ring is not None:
+        coeff = _friction_coefficient(f, kappa_ring, params,
+                                      ModelTier.HYDROSTATIC)
         rate -= float(np.sum(coeff * u**2) * dx)
-    if not bathy.is_static:
-        rate += float(np.sum(params.g * H * bathy.rate(x, t)) * dx)
+    if f.bed_rate != 0.0:
+        rate += float(np.sum(params.g * H * f.bed_rate) * dx)
 
     return EnergyReport(t=t, mass=mass, momentum=momentum, E_h=E_h, E_ext=E_h,
                         modeled_rate=rate)
@@ -96,28 +94,19 @@ def energy_extended(state, bathy, params, grid, tier):
     if tier is ModelTier.HYDROSTATIC:
         raise ValueError("the hydrostatic tier has no extended energy; "
                          "use energy_hydro")
-    report = energy_hydro(state, bathy, params, grid)
-    x = grid.cell_centers
-    dx = grid.dx
-    t = state.t
-    H = state.H
-    u = state.velocity()
-    zb = bathy.elevation(x, t)
-    eta = zb + H
+    f = _fields(state, bathy, grid)
+    kappa_ring = _ring_kappa(f, params)
+    report = _energy_hydro(f, params, kappa_ring)
+    H, u = f.H, f.u
 
-    zp = _pad(zb, grid.boundary, 1.0)
-    up = _pad(u, grid.boundary, -1.0)
-    dzb_dx = _centered_difference(zp[1:-1], dx)
-    du_dx = _centered_difference(up[1:-1], dx)
-    dzb_dt = bathy.rate(x, t)
-
-    wsq = depth_integrated_w_squared(H, eta, zb, u, du_dx, dzb_dx, dzb_dt)
-    extra = float(np.sum(0.5 * wsq) * dx)
-    if tier is ModelTier.NONHYDRO2 and params.nu > 0.0 and (
-            params.k_l > 0.0 or params.k_t > 0.0):
-        kappa = friction_kappa(u, dzb_dx, H, params)
+    wsq = depth_integrated_w_squared(H, f.eta, f.zb, u, _interior(f.ux_ring),
+                                     _interior(f.zbx_ring), f.bed_rate)
+    extra = float(np.sum(0.5 * wsq) * f.dx)
+    if (tier is ModelTier.NONHYDRO2 and params.nu > 0.0
+            and kappa_ring is not None):
+        kappa = _interior(kappa_ring)
         modified = 2.0 * kappa**2 * H**3 / (15.0 * params.nu**2)
-        extra += float(np.sum(modified * u**2 / 2) * dx)
+        extra += float(np.sum(modified * u**2 / 2) * f.dx)
 
     report.E_ext = report.E_h + extra
     return report

@@ -22,18 +22,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .closures import effective_friction, friction_kappa
-from .core import (
-    DRY_THRESHOLD,
-    BathymetryField,
-    Boundary,
-    FlowState,
-    Grid,
-    PhysicalParams,
-)
+from .core import DRY_THRESHOLD, Boundary
 
 __all__ = [
     "ModelTier",
@@ -99,8 +93,63 @@ def _interior(cellwise):
     return cellwise[1:-1]
 
 
-def _fv_core(state, bathy, params, grid, *, first_order, stats,
-             include_pressure, sources=None):
+@dataclass
+class _Fields:
+    """Fields of one state read by the core, assembly, friction and reports.
+
+    ``Hp``, ``up``, ``zp``, ``etap`` carry ``NGHOST`` ghost cells per side.
+    ``eta`` and the ``*_ring`` centered first derivatives (width-1 ring) are
+    computed on first use, as not every path reads them.  ``bed_rate`` and
+    ``bed_accel`` are ``db/dt`` and ``d^2b/dt^2`` of the separable bed.
+    """
+
+    t: float
+    x: np.ndarray
+    dx: float
+    H: np.ndarray
+    q: np.ndarray
+    u: np.ndarray
+    zb: np.ndarray
+    Hp: np.ndarray
+    up: np.ndarray
+    zp: np.ndarray
+    etap: np.ndarray
+    bed_rate: float
+    bed_accel: float
+
+    @cached_property
+    def eta(self):
+        return self.zb + self.H
+
+    @cached_property
+    def ux_ring(self):
+        return _centered_difference(self.up, self.dx)
+
+    @cached_property
+    def zbx_ring(self):
+        return _centered_difference(self.zp, self.dx)
+
+    @cached_property
+    def Hx_ring(self):
+        return _centered_difference(self.Hp, self.dx)
+
+
+def _fields(state, bathy, grid):
+    """The :class:`_Fields` of ``state`` on ``grid`` over ``bathy``."""
+    x = grid.cell_centers
+    t = state.t
+    bc = grid.boundary
+    u = state.velocity()
+    zb = bathy.elevation(x, t)
+    Hp = _pad(state.H, bc, 1.0)
+    zp = _pad(zb, bc, 1.0)
+    return _Fields(t=t, x=x, dx=grid.dx, H=state.H, q=state.q, u=u, zb=zb,
+                   Hp=Hp, up=_pad(u, bc, -1.0), zp=zp, etap=zp + Hp,
+                   bed_rate=float(bathy.motion.rate(t)),
+                   bed_accel=float(bathy.motion.accel(t)))
+
+
+def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
     """Finite-volume mass/momentum tendencies of the advective core.
 
     With ``include_pressure`` the momentum flux carries ``g H^2 / 2`` with
@@ -108,22 +157,9 @@ def _fv_core(state, bathy, params, grid, *, first_order, stats,
     without it only ``H u^2`` is fluxed, for tiers that apply the pressure
     gradient in non-conservative form.
     """
-    n = grid.n_cells
-    dx = grid.dx
-    g = params.g
-    t = state.t
-    bc = grid.boundary
-    x = grid.cell_centers
-
-    H = state.H
-    u = state.velocity()
-    zb = bathy.elevation(x, t)
-    eta = zb + H
-
-    Hp = _pad(H, bc, 1.0)
-    up = _pad(u, bc, -1.0)
-    zp = _pad(zb, bc, 1.0)
-    etap = zp + Hp
+    n = f.H.size
+    dx = f.dx
+    Hp, up, etap = f.Hp, f.up, f.etap
 
     if first_order:
         sH = np.zeros(n + 2)
@@ -201,7 +237,7 @@ def _fv_core(state, bathy, params, grid, *, first_order, stats,
     else:
         dqdt = -(flux_q[1:] - flux_q[:-1]) / dx
         # non-conservative surface-gradient form of the pressure
-        dqdt -= g * H * _centered_difference(etap[1:-1], dx)
+        dqdt -= g * f.H * _centered_difference(etap[1:-1], dx)
 
     # moving bottom: a rising bed displaces no depth-averaged mass directly
     # (H evolves only through the flux divergence) but shows up in eta; all
@@ -209,10 +245,10 @@ def _fv_core(state, bathy, params, grid, *, first_order, stats,
 
     if sources is not None:
         src_H, src_q = sources
-        dHdt = dHdt + src_H(x, t)
-        dqdt = dqdt + src_q(x, t)
+        dHdt = dHdt + src_H(f.x, f.t)
+        dqdt = dqdt + src_q(f.x, f.t)
 
-    return dHdt, dqdt, Hp, up, zp, etap
+    return dHdt, dqdt
 
 
 def _viscous_tendency(Hp, up, dx, nu):
@@ -222,6 +258,30 @@ def _viscous_tendency(Hp, up, dx, nu):
     dudx_f = (up[2:-1] - up[1:-2]) / dx
     mu = 4.0 * nu * Hf * dudx_f
     return (mu[1:] - mu[:-1]) / dx
+
+
+def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
+                   stats=None, sources=None):
+    """``(dH/dt, dq/dt)`` of the advective core with its explicit forcings.
+
+    The viscous tiers flux the hydrostatic pressure and add viscosity; the
+    inviscid tier applies the surface gradient in non-conservative form.
+    Both add the atmospheric-pressure gradient.  A ``kappa_ring`` from
+    :func:`_ring_kappa` adds the hydrostatic damping ``-kappa_eff u_bar``.
+    """
+    dHdt, dqdt = _fv_core(f, params.g, first_order=first_order, stats=stats,
+                          include_pressure=not inviscid, sources=sources)
+    if not inviscid and params.nu > 0.0:
+        dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, params.nu)
+
+    grad_pa = params.p_atm.grad_x(f.x, f.t)
+    if np.any(grad_pa):
+        dqdt = dqdt - f.H * grad_pa
+
+    if kappa_ring is not None:
+        dqdt = dqdt - _friction_coefficient(
+            f, kappa_ring, params, ModelTier.HYDROSTATIC) * f.u
+    return dHdt, dqdt
 
 
 def hydrostatic_tendency(state, bathy, params, grid, *, include_friction=True,
@@ -251,24 +311,37 @@ def hydrostatic_tendency(state, bathy, params, grid, *, include_friction=True,
     (ndarray, ndarray)
         ``dH/dt`` and ``dq/dt`` at the cell centers.
     """
-    dHdt, dqdt, Hp, up, zp, _ = _fv_core(
-        state, bathy, params, grid, first_order=first_order, stats=stats,
-        include_pressure=True, sources=sources)
-    x = grid.cell_centers
-    t = state.t
+    f = _fields(state, bathy, grid)
+    kappa_ring = _ring_kappa(f, params) if include_friction else None
+    return _core_tendency(f, params, False, kappa_ring=kappa_ring,
+                          first_order=first_order, stats=stats, sources=sources)
 
-    if params.nu > 0.0:
-        dqdt = dqdt + _viscous_tendency(Hp, up, grid.dx, params.nu)
 
-    grad_pa = params.p_atm.grad_x(x, t)
-    if np.any(grad_pa):
-        dqdt = dqdt - state.H * grad_pa
+def _ring_kappa(f, params, tier=None):
+    """Wall-law ``kappa`` on the width-1 ring.
 
-    if include_friction and (params.k_l > 0.0 or params.k_t > 0.0):
-        dqdt = dqdt - pointwise_friction_coefficient(
-            state, bathy, params, grid, ModelTier.HYDROSTATIC) * state.velocity()
+    ``None`` for the inviscid tier and without wall-law friction
+    (``k_l = k_t = 0``); :func:`friction_kappa` is then not evaluated.
+    """
+    if tier is ModelTier.PEREGRINE_INVISCID or (params.k_l == 0.0
+                                                and params.k_t == 0.0):
+        return None
+    return friction_kappa(f.up[1:-1], f.zbx_ring, f.Hp[1:-1], params)
 
-    return dHdt, dqdt
+
+def _friction_coefficient(f, kappa_ring, params, tier):
+    """Pointwise damping coefficient from :func:`_ring_kappa` (zeros for
+    ``None``)."""
+    if kappa_ring is None:
+        return np.zeros(f.H.size)
+    H = f.H
+    wet = H >= DRY_THRESHOLD
+    coeff = np.where(wet, effective_friction(_interior(kappa_ring),
+                                             np.maximum(H, DRY_THRESHOLD),
+                                             params.nu), 0.0)
+    if tier in (ModelTier.NONHYDRO1, ModelTier.NONHYDRO2):
+        coeff = coeff * (1.0 + 2.5 * _interior(f.zbx_ring)**2)
+    return coeff
 
 
 def pointwise_friction_coefficient(state, bathy, params, grid, tier):
@@ -277,24 +350,8 @@ def pointwise_friction_coefficient(state, bathy, params, grid, tier):
     Hydrostatic: ``kappa_eff``.  Dispersive viscous tiers additionally carry
     the bed-slope enhancement ``(1 + 5/2 (dz_b/dx)^2)``.  Inviscid tier: 0.
     """
-    n = grid.n_cells
-    if tier is ModelTier.PEREGRINE_INVISCID:
-        return np.zeros(n)
-    if params.k_l == 0.0 and params.k_t == 0.0:
-        return np.zeros(n)
-    x = grid.cell_centers
-    zb = bathy.elevation(x, state.t)
-    zp = _pad(zb, grid.boundary, 1.0)
-    zbx = _centered_difference(zp[1:-1], grid.dx)
-    H = state.H
-    u = state.velocity()
-    kappa = friction_kappa(u, zbx, H, params)
-    wet = H >= DRY_THRESHOLD
-    coeff = np.where(wet, effective_friction(kappa, np.maximum(H, DRY_THRESHOLD),
-                                             params.nu), 0.0)
-    if tier in (ModelTier.NONHYDRO1, ModelTier.NONHYDRO2):
-        coeff = coeff * (1.0 + 2.5 * zbx**2)
-    return coeff
+    f = _fields(state, bathy, grid)
+    return _friction_coefficient(f, _ring_kappa(f, params, tier), params, tier)
 
 
 @dataclass
@@ -397,18 +454,18 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     """
     from .solver import BandedMatrix
 
-    H = state.H
-    u = state.velocity()
+    f = _fields(state, bathy, grid)
+    H, u = f.H, f.u
+    kappa_ring = _ring_kappa(f, params, tier)
     if tier is ModelTier.HYDROSTATIC:
-        dHdt, dqdt = hydrostatic_tendency(
-            state, bathy, params, grid, include_friction=False,
-            first_order=first_order, stats=stats, sources=sources)
+        dHdt, dqdt = _core_tendency(f, params, False, first_order=first_order,
+                                    stats=stats, sources=sources)
         F = dqdt - u * dHdt
         stencils = {0: H}
     else:
         stencils, F, dHdt = _dispersive_terms(
-            state, bathy, params, grid, tier, u, first_order=first_order,
-            stats=stats, sources=sources)
+            f, params, grid.boundary, tier, kappa_ring,
+            first_order=first_order, stats=stats, sources=sources)
     A = BandedMatrix.from_stencils(_dry_guard(stencils, H), grid.boundary)
 
     if debug:  # row sums of |A| in O(n)
@@ -419,7 +476,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
             raise AssertionError("inertia operator lost diagonal dominance")
 
     # ---- pointwise friction ----------------------------------------------
-    fric = pointwise_friction_coefficient(state, bathy, params, grid, tier)
+    fric = _friction_coefficient(f, kappa_ring, params, tier)
     if include_pointwise_friction and np.any(fric):
         F = F - fric * u
 
@@ -430,65 +487,31 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
 
 
-def _dispersive_terms(state, bathy, params, grid, tier, u, *, first_order,
+def _dispersive_terms(f, params, boundary, tier, kappa_ring, *, first_order,
                       stats, sources):
     """Stencils of ``A``, ``F`` without pointwise friction, and ``dH/dt``."""
-    n = grid.n_cells
-    dx = grid.dx
-    bc = grid.boundary
-    x = grid.cell_centers
-    t = state.t
-    H = state.H
-    zb = bathy.elevation(x, t)
-    eta = zb + H
-
-    inviscid = tier is ModelTier.PEREGRINE_INVISCID
-    eff_params = params
-    if inviscid:
-        eff_params = PhysicalParams(g=params.g, nu=0.0, k_l=0.0, k_t=0.0,
-                                    p_atm=params.p_atm)
+    dx = f.dx
+    H, u, zb = f.H, f.u, f.zb
 
     # ---- advective core -------------------------------------------------
-    if inviscid:
-        dHdt, dqdt_core, Hp, up, zp, etap = _fv_core(
-            state, bathy, eff_params, grid, first_order=first_order,
-            stats=stats, include_pressure=False, sources=sources)
-        grad_pa = params.p_atm.grad_x(x, t)
-        if np.any(grad_pa):
-            dqdt_core = dqdt_core - H * grad_pa
-    else:
-        dHdt, dqdt_core = hydrostatic_tendency(
-            state, bathy, eff_params, grid, include_friction=False,
-            first_order=first_order, stats=stats, sources=sources)
-        Hp = _pad(H, bc, 1.0)
-        up = _pad(u, bc, -1.0)
-        zp = _pad(zb, bc, 1.0)
-        etap = zp + Hp
-
+    dHdt, dqdt_core = _core_tendency(
+        f, params, tier is ModelTier.PEREGRINE_INVISCID,
+        first_order=first_order, stats=stats, sources=sources)
     F = dqdt_core - u * dHdt
 
     # ---- shared discrete fields -----------------------------------------
     ring = slice(1, -1)
-    s_ring = _centered_difference(up, dx)  # du/dx at cells -1..n
-    zbx_ring = _centered_difference(zp, dx)
-    Hx_ring = _centered_difference(Hp, dx)
-    etax_ring = _centered_difference(etap, dx)
+    Hp, up, zp, etap = f.Hp, f.up, f.zp, f.etap
+    s_ring = f.ux_ring  # du/dx at cells -1..n
+    zbx_ring = f.zbx_ring
     u_ring = up[ring]
     H_ring = Hp[ring]
     z_ring = zp[ring]
-    eta_ring = etap[ring]
 
     s = _interior(s_ring)
     zbx = _interior(zbx_ring)
-
-    bed_rate = bathy.rate(x, t)
-    bed_rate_scalar = float(bed_rate[0]) if np.ndim(bed_rate) else float(bed_rate)
-    bed_accel = bathy.accel(x, t)
-
-    kappa_ring = (np.zeros(n + 2) if inviscid or
-                  (params.k_l == 0.0 and params.k_t == 0.0)
-                  else friction_kappa(u_ring, zbx_ring, H_ring, params))
-    kappa = _interior(kappa_ring)
+    kappa = None if kappa_ring is None else _interior(kappa_ring)
+    friction = kappa is not None and np.any(kappa)
 
     # ---- operator stencils ----------------------------------------------
     if tier is ModelTier.NONHYDRO2:
@@ -496,7 +519,7 @@ def _dispersive_terms(state, bathy, params, grid, tier, u, *, first_order,
         #            + dz_b/dx ((H^2/2 - eta H) da/dx + H d(z_b a)/dx)
         coeff1 = Hp**3 / 6.0 - etap * Hp**2 / 2.0
         coeff2 = Hp**2 / 2.0
-        slope_c1 = H**2 / 2.0 - eta * H
+        slope_c1 = H**2 / 2.0 - f.eta * H
         slope_c2 = H
     else:
         # A[a] = H a + d/dx(-(z_b^3/6) da/dx + (z_b^2/2) d(z_b a)/dx)
@@ -506,75 +529,70 @@ def _dispersive_terms(state, bathy, params, grid, tier, u, *, first_order,
         slope_c1 = zb**2 / 2.0
         slope_c2 = -zb
 
-    stencils = _operator_stencils(H, zp[ring], coeff1[ring], coeff2[ring],
-                                  slope_c1, slope_c2, zbx, dx, bc)
+    stencils = _operator_stencils(H, z_ring, coeff1[ring], coeff2[ring],
+                                  slope_c1, slope_c2, zbx, dx, boundary)
 
     # ---- explicit dispersive forcings ------------------------------------
     if tier in (ModelTier.NONHYDRO1, ModelTier.PEREGRINE_INVISCID):
-        if not inviscid and np.any(kappa):
+        if friction:
             flux_k = (kappa_ring / 6.0) * z_ring * (z_ring * s_ring
                                                     + 7.0 * zbx_ring * u_ring)
             F = F + _centered_difference(flux_k, dx)
             F = F - (kappa / 2.0) * zbx * (zb * s - zbx * u)
-        if bed_rate_scalar != 0.0:
-            mixed = bed_rate_scalar * s_ring          # d/dx(u db/dt)
+        if f.bed_rate != 0.0:
+            mixed = f.bed_rate * s_ring          # d/dx(u db/dt)
             F = F - _centered_difference((z_ring**2 / 2.0) * mixed, dx)
             F = F + zbx * zb * _interior(mixed)
     else:  # NONHYDRO2
-        uxx_ring = _cell_curvature(up, dx)
-        zbxx_ring = _cell_curvature(zp, dx)
         m_ring = _centered_difference(zp * up, dx)  # d(z_b u)/dx
         divq_ring = _centered_difference(Hp * up, dx)
-        deta_dt_ring = bed_rate_scalar - divq_ring
+        deta_dt_ring = f.bed_rate - divq_ring
 
         # stationary quadratic-velocity pressure work
-        F = F + _nh2_stationary_extras_from_rings(
-            H_ring, u_ring, s_ring, Hx_ring, zbx_ring, zbxx_ring, uxx_ring,
-            kappa_ring, params, zbx, dx)
+        F = F + _nh2_stationary_extras(f, kappa_ring, params)
 
         # time-derivative-bearing depth-averaged pressure part
-        P1_ring = -H_ring * deta_dt_ring * (eta_ring * s_ring - m_ring)
+        P1_ring = -H_ring * deta_dt_ring * (etap[ring] * s_ring - m_ring)
         F = F - _centered_difference(P1_ring, dx)
         # and its bottom-pressure partner
         pb = (_interior(deta_dt_ring) * _interior(m_ring)
-              - eta * _interior(deta_dt_ring) * s
-              + _interior(deta_dt_ring) * bed_rate_scalar)
+              - f.eta * _interior(deta_dt_ring) * s
+              + _interior(deta_dt_ring) * f.bed_rate)
         F = F - zbx * pb
 
-        if bed_rate_scalar != 0.0:
-            mixed = bed_rate_scalar * s_ring
+        if f.bed_rate != 0.0:
+            mixed = f.bed_rate * s_ring
             F = F - _centered_difference((H_ring**2 / 2.0) * mixed, dx)
             F = F - zbx * H * _interior(mixed)
-        accel_scalar = float(bed_accel[0]) if np.ndim(bed_accel) else float(bed_accel)
-        if accel_scalar != 0.0:
-            F = F + zb * zbx * accel_scalar
-            F = F - 0.5 * accel_scalar * _centered_difference(H_ring**2, dx)
+        if f.bed_accel != 0.0:
+            F = F + zb * zbx * f.bed_accel
+            F = F - 0.5 * f.bed_accel * _centered_difference(H_ring**2, dx)
 
-        if np.any(kappa):
+        if friction:
+            etax_ring = _centered_difference(etap, dx)
             fluxg = kappa_ring * H_ring * (
                 (H_ring / 6.0) * s_ring
                 - ((7.0 / 6.0) * zbx_ring + etax_ring / 3.0) * u_ring)
             F = F + _centered_difference(fluxg, dx)
-            F = F + kappa * zbx * ((0.5 * _interior(Hx_ring) + zbx) * u
+            F = F + kappa * zbx * ((0.5 * _interior(f.Hx_ring) + zbx) * u
                                    + (H / 2.0) * s)
 
     return stencils, F, dHdt
 
 
-def _nh2_stationary_extras_from_rings(H_ring, u_ring, s_ring, Hx_ring,
-                                      zbx_ring, zbxx_ring, uxx_ring,
-                                      kappa_ring, params, zbx, dx):
+def _nh2_stationary_extras(f, kappa_ring, params):
     """Stationary extra momentum tendencies of the fully nonlinear tier.
 
     The modified-height convective correction plus the quadratic-velocity
     part of the non-hydrostatic pressure (depth average and bed value), all
     free of time derivatives.
     """
-    if params.nu > 0.0:
-        Hm_minus_H = 2.0 * kappa_ring**2 * H_ring**3 / (15.0 * params.nu**2)
-    else:
-        Hm_minus_H = np.zeros_like(H_ring)
-    out = -_centered_difference(Hm_minus_H * u_ring**2, dx)
+    dx = f.dx
+    H_ring = f.Hp[1:-1]
+    u_ring = f.up[1:-1]
+    s_ring, Hx_ring, zbx_ring = f.ux_ring, f.Hx_ring, f.zbx_ring
+    uxx_ring = _cell_curvature(f.up, dx)
+    zbxx_ring = _cell_curvature(f.zp, dx)
 
     depth_avg = (H_ring / 6.0) * (
         -4.0 * H_ring**2 * s_ring**2
@@ -583,12 +601,16 @@ def _nh2_stationary_extras_from_rings(H_ring, u_ring, s_ring, Hx_ring,
         + 9.0 * H_ring * zbx_ring * s_ring * u_ring
         + 3.0 * H_ring * zbxx_ring * u_ring**2
         + 6.0 * zbx_ring * Hx_ring * u_ring**2)
-    out = out - _centered_difference(depth_avg, dx)
+    depth_avg_x = _centered_difference(depth_avg, dx)
+    if kappa_ring is not None and params.nu > 0.0:
+        Hm_minus_H = 2.0 * kappa_ring**2 * H_ring**3 / (15.0 * params.nu**2)
+        out = -_centered_difference(Hm_minus_H * u_ring**2, dx) - depth_avg_x
+    else:
+        out = -depth_avg_x
 
     bottom_ring = (-0.5 * _centered_difference(H_ring**2 * s_ring * u_ring, dx)
                    + _centered_difference(H_ring * zbx_ring * u_ring**2, dx))
-    out = out - zbx * bottom_ring
-    return out
+    return out - _interior(zbx_ring) * bottom_ring
 
 
 def steady_residual(state, bathy, params, grid, tier):
@@ -602,44 +624,11 @@ def steady_residual(state, bathy, params, grid, tier):
     drops viscosity/friction and applies the surface-gradient pressure in
     non-conservative form.
     """
-    if tier in (ModelTier.HYDROSTATIC, ModelTier.NONHYDRO1):
-        return hydrostatic_tendency(state, bathy, params, grid,
-                                    include_friction=True)[1]
-
-    n = grid.n_cells
-    dx = grid.dx
-    bc = grid.boundary
-    x = grid.cell_centers
-    t = state.t
-    H = state.H
-    u = state.velocity()
-    zb = bathy.elevation(x, t)
-
+    f = _fields(state, bathy, grid)
     if tier is ModelTier.PEREGRINE_INVISCID:
-        eff = PhysicalParams(g=params.g, nu=0.0, k_l=0.0, k_t=0.0,
-                             p_atm=params.p_atm)
-        _, dqdt, _, _, _, _ = _fv_core(state, bathy, eff, grid,
-                                       first_order=False, stats=None,
-                                       include_pressure=False)
-        grad_pa = params.p_atm.grad_x(x, t)
-        if np.any(grad_pa):
-            dqdt = dqdt - H * grad_pa
-        return dqdt
-
-    # fully nonlinear tier
-    r = hydrostatic_tendency(state, bathy, params, grid,
-                             include_friction=True)[1]
-    Hp = _pad(H, bc, 1.0)
-    up = _pad(u, bc, -1.0)
-    zp = _pad(zb, bc, 1.0)
-    s_ring = _centered_difference(up, dx)
-    zbx_ring = _centered_difference(zp, dx)
-    Hx_ring = _centered_difference(Hp, dx)
-    uxx_ring = _cell_curvature(up, dx)
-    zbxx_ring = _cell_curvature(zp, dx)
-    zbx = _interior(zbx_ring)
-    kappa_ring = (np.zeros(n + 2) if params.k_l == 0.0 and params.k_t == 0.0
-                  else friction_kappa(up[1:-1], zbx_ring, Hp[1:-1], params))
-    return r + _nh2_stationary_extras_from_rings(
-        Hp[1:-1], up[1:-1], s_ring, Hx_ring, zbx_ring, zbxx_ring, uxx_ring,
-        kappa_ring, params, zbx, dx)
+        return _core_tendency(f, params, True)[1]
+    kappa_ring = _ring_kappa(f, params)
+    dqdt = _core_tendency(f, params, False, kappa_ring=kappa_ring)[1]
+    if tier is ModelTier.NONHYDRO2:
+        dqdt = dqdt + _nh2_stationary_extras(f, kappa_ring, params)
+    return dqdt

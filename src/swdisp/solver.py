@@ -38,7 +38,7 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """A linear solve failed or left an unacceptable residual."""
+    """A linear solve failed or was inaccurate, or a run went non-finite."""
 
 
 @dataclass
@@ -268,6 +268,17 @@ class RunResult:
     stats: dict
 
 
+def _check_finite(state, step_index):
+    """Raise :class:`SolverError` at the first cell with a NaN or infinite
+    ``H`` or ``q`` (a NaN must not pass for a dry cell)."""
+    finite = np.isfinite(state.H + state.q)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise SolverError(
+            f"non-finite state at step {step_index}, t = {state.t:.6g}: "
+            f"cell {i} has H = {state.H[i]}, q = {state.q[i]}")
+
+
 def run_simulation(state, bathy, params, grid, tier, controls, *,
                    sources=None, snapshot_interval=None, collect_reports=True,
                    debug=False):
@@ -276,7 +287,9 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     ``snapshot_interval=None`` stores only the initial and final states;
     ``0.0`` stores every step; a positive value stores states at each
     crossing of a multiple of that interval.  The run is deterministic:
-    no wall-clock or randomized decisions enter the loop.
+    no wall-clock or randomized decisions enter the loop.  A NaN or
+    infinite ``H`` or ``q`` in the initial or any later state raises
+    :class:`SolverError` with the step, time and first bad cell.
     """
     from .diagnostics import attach_measured_rates, energy_extended, energy_hydro
 
@@ -286,6 +299,7 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
         return energy_extended(s, bathy, params, grid, tier)
 
     s = state.copy()
+    _check_finite(s, 0)
     stats = {"steps": 0, "positivity_clamps": 0}
     times = [s.t]
     states = [s.copy()]
@@ -302,6 +316,7 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
                  sources=sources, first_order=controls.first_order,
                  debug=debug)
         stats["steps"] += 1
+        _check_finite(s, stats["steps"])
         if collect_reports:
             reports.append(make_report(s))
         if snapshot_interval == 0.0:

@@ -331,3 +331,19 @@ def test_steady_residual_nonhydro2_difference_decomposition():
         A_bottom = -0.5 * _centered(H**2 * s * u, dx) + _centered(H * zbx * u**2, dx)
         expected_diff = flux_term - _centered(A_depth, dx) - zbx * A_bottom
         np.testing.assert_allclose(r_2 - r_h, expected_diff, rtol=1e-10, atol=1e-12)
+
+
+def test_inviscid_tier_ignores_wall_law_friction():
+    """The inviscid tier never evaluates the friction closure, so a
+    non-zero k_l, k_t with nu = 0 neither raises nor changes the system."""
+    grid = Grid(0.0, 10.0, 64, Boundary.PERIODIC)
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.3, level=-1.0))
+    state = smooth_random_state(grid, bathy, np.random.default_rng(7))
+    tier = ModelTier.PEREGRINE_INVISCID
+    rough = assemble_dispersive(
+        state, bathy, PhysicalParams(nu=0.0, k_l=0.01, k_t=0.05), grid, tier)
+    smooth = assemble_dispersive(
+        state, bathy, PhysicalParams(nu=0.0, k_l=0.0, k_t=0.0), grid, tier)
+    assert not np.any(rough.friction)
+    np.testing.assert_array_equal(rough.F, smooth.F)

@@ -251,3 +251,44 @@ def test_peregrine_energy_drift_temporal_part_is_high_order():
     assert d1 < 0.0  # net drift is dissipative, never a blow-up
     assert abs(d1) < 1e-8
     assert (d1 - d2) / (d2 - d3) == pytest.approx(8.0, rel=0.5)
+
+
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_non_finite_state_raises_solver_error(tier):
+    grid = Grid(0.0, 10.0, 32, Boundary.PERIODIC)
+    bathy = BathymetryField(FlatBed(level=-1.0))
+    s0 = lake_at_rest(grid, bathy)
+    s0.q[5] = np.nan
+    with pytest.raises(SolverError) as err:
+        run_simulation(s0, bathy, PhysicalParams(nu=1e-3), grid, tier,
+                       StepControls(t_end=0.1))
+    assert "non-finite" in str(err.value)
+    assert "cell 5" in str(err.value)
+
+
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_step_derives_bed_and_kappa_once_per_stage(tier, monkeypatch):
+    """One bed evaluation and at most one wall-law kappa per stage."""
+    import swdisp.models
+
+    grid = Grid(0.0, 10.0, 64, Boundary.PERIODIC)
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.3, level=-1.0))
+    H = lake_at_rest(grid, bathy, eta0=0.01).H
+    state = FlowState(t=0.0, H=H, q=0.1 * H)
+    counts = {"elevation": 0, "friction_kappa": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(BathymetryField, "elevation",
+                        counting("elevation", BathymetryField.elevation))
+    monkeypatch.setattr(swdisp.models, "friction_kappa",
+                        counting("friction_kappa", swdisp.models.friction_kappa))
+    step(state, bathy, PhysicalParams(nu=1e-3, k_l=1e-2, k_t=0.05), grid,
+         tier, 1e-3)
+    assert counts["elevation"] == 2
+    assert counts["friction_kappa"] <= 2
