@@ -79,9 +79,10 @@ def cmd_run(args) -> int:
     if notes:
         print("override: " + ", ".join(notes))
     if cfg.tier is ModelTier.NONHYDRO2:
-        print("note: NonHydro2 advances the well-balanced surface-gradient "
-              "pressure form, algebraically equal to the g H^2/2 flux form "
-              "for smooth solutions")
+        print("note: NonHydro2 fluxes the hydrostatic pressure g H^2/2 with "
+              "hydrostatic reconstruction (well balanced); only "
+              "PeregrineInviscid applies the surface gradient in "
+              "non-conservative form")
 
     state = build_initial_state(cfg)
     started = time.perf_counter()

@@ -5,10 +5,11 @@ The hydrostatic mechanical energy
 ``E_h = sum_i (H u^2/2 + g H (eta + z_b)/2 + H p_a) dx``
 
 is monitored together with its modeled budget: atmospheric-pressure work,
-depth-integrated viscous dissipation, bed-friction dissipation, and the work
-done by a moving bottom.  The extended energy adds the vertical kinetic
-energy of the tier's vertical-velocity closure (and the modified-height
-kinetic correction of the fully nonlinear tier).
+depth-integrated viscous dissipation, bed-friction dissipation (neither for
+the inviscid tier), and the work done by a moving bottom.  The extended
+energy adds the vertical kinetic energy of the tier's vertical-velocity
+closure (and the modified-height kinetic correction of the fully nonlinear
+tier).
 
 Phase speeds are measured by projecting the free surface onto a single
 Fourier mode and fitting the phase drift over time.
@@ -61,11 +62,13 @@ class EnergyReport:
 def energy_hydro(state, bathy, params, grid):
     """Hydrostatic energy report (E_ext coincides with E_h here)."""
     f = _fields(state, bathy, grid)
-    return _energy_hydro(f, params, _ring_kappa(f, params))
+    return _energy_hydro(f, params, ModelTier.HYDROSTATIC,
+                         _ring_kappa(f, params))
 
 
-def _energy_hydro(f, params, kappa_ring):
-    """:func:`energy_hydro` from a state's fields and its wall-law kappa."""
+def _energy_hydro(f, params, tier, kappa_ring):
+    """:func:`energy_hydro` from a state's fields and its wall-law kappa;
+    the inviscid tier's budget carries no viscous dissipation."""
     x, t, dx, H, u = f.x, f.t, f.dx, f.H, f.u
     p_a = params.p_atm.value(x, t)
 
@@ -75,7 +78,7 @@ def _energy_hydro(f, params, kappa_ring):
     momentum = float(np.sum(f.q) * dx)
 
     rate = -float(np.sum(H * params.p_atm.rate_t(x, t)) * dx)
-    if params.nu > 0.0:
+    if params.nu > 0.0 and tier is not ModelTier.PEREGRINE_INVISCID:
         dudx = _interior(f.ux_ring)
         rate -= float(np.sum(4.0 * params.nu * H * dudx**2) * dx)
     if kappa_ring is not None:
@@ -95,8 +98,8 @@ def energy_extended(state, bathy, params, grid, tier):
         raise ValueError("the hydrostatic tier has no extended energy; "
                          "use energy_hydro")
     f = _fields(state, bathy, grid)
-    kappa_ring = _ring_kappa(f, params)
-    report = _energy_hydro(f, params, kappa_ring)
+    kappa_ring = _ring_kappa(f, params, tier)
+    report = _energy_hydro(f, params, tier, kappa_ring)
     H, u = f.H, f.u
 
     wsq = depth_integrated_w_squared(H, f.eta, f.zb, u, _interior(f.ux_ring),

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +40,10 @@ __all__ = [
 ]
 
 SNAPSHOT_FIELDS = ("w_bottom", "w_surface", "p_bottom")
+
+
+def _fmt(value) -> str:
+    return format(float(value), ".17g")
 
 
 class ConfigError(ValueError):
@@ -126,10 +129,15 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+#
+# Config keys are the field names of the dataclass they build; the key
+# ``kind``/``profile``/``motion`` picks the class from a kind table, and a
+# field's annotation picks how its value is parsed and written.  Bed-motion
+# keys carry the prefix ``motion_``.
 
 _SECTIONS = ("grid", "physics", "bathymetry", "initial", "stepping", "output")
 _REQUIRED_SECTIONS = ("grid", "bathymetry", "initial", "stepping")
-_REQUIRED = object()
+_REQUIRED = dataclasses.MISSING
 
 
 def _split_lines(text):
@@ -171,198 +179,104 @@ def _split_lines(text):
 
 
 class _Section:
-    """Typed accessors over one section; every key must be consumed."""
+    """Keys of one section; on leaving the ``with`` block every key must
+    have been taken."""
 
-    def __init__(self, name, entries):
+    def __init__(self, name, sections):
         self.name = name
-        self.entries = dict(entries)
+        self.entries = dict(sections.get(name, {}))
 
-    def _pop(self, key, default):
+    def take(self, key, parse, default=_REQUIRED):
         if key not in self.entries:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {self.name}.{key}")
-            return None
-        return self.entries.pop(key)
-
-    def take_float(self, key, default=_REQUIRED):
-        item = self._pop(key, default)
-        if item is None:
             return default
-        raw, lineno = item
+        raw, lineno = self.entries.pop(key)
         try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {self.name}.{key} expects a "
-                              f"number, got {raw!r}") from None
-
-    def take_int(self, key, default=_REQUIRED):
-        item = self._pop(key, default)
-        if item is None:
-            return default
-        raw, lineno = item
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {self.name}.{key} expects an "
-                              f"integer, got {raw!r}") from None
-
-    def take_str(self, key, default=_REQUIRED):
-        item = self._pop(key, default)
-        if item is None:
-            return default
-        return item[0]
-
-    def take_choice(self, key, choices, default=_REQUIRED):
-        item = self._pop(key, default)
-        if item is None:
-            return choices[default]
-        raw, lineno = item
-        if raw not in choices:
-            names = ", ".join(choices)
-            raise ConfigError(f"line {lineno}: {self.name}.{key} must be one "
-                              f"of {names}; got {raw!r}")
-        return choices[raw]
-
-    def take_bool(self, key, default=_REQUIRED):
-        item = self._pop(key, default)
-        if item is None:
-            return default
-        raw, lineno = item
-        if raw not in ("true", "false"):
-            raise ConfigError(f"line {lineno}: {self.name}.{key} expects "
-                              f"true or false, got {raw!r}")
-        return raw == "true"
-
-    def finish(self):
-        for key, (_, lineno) in self.entries.items():
+            return parse(raw)
+        except ValueError as err:
             raise ConfigError(
-                f"line {lineno}: unknown key {key!r} in [{self.name}]")
+                f"line {lineno}: {self.name}.{key} {err}") from None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            for key, (_, lineno) in self.entries.items():
+                raise ConfigError(
+                    f"line {lineno}: unknown key {key!r} in [{self.name}]")
 
 
-def _guard(section, build):
-    """Run a dataclass constructor, converting its ValueError to ConfigError."""
-    try:
-        return build()
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"[{section}]: {err}") from None
+def _parser(convert, expects):
+    """Wrap ``convert`` so that a bad value raises
+    ``ValueError("<expects> <raw>")``."""
+    def parse(raw):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"{expects} {raw!r}") from None
+    return parse
 
 
-_BOUNDARIES = {b.value: b for b in Boundary}
+def _choice(table):
+    names = ", ".join(table)
+    return _parser(table.__getitem__, f"must be one of {names}; got")
+
+
+def _names(raw):
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+_NUMBER = _parser(float, "expects a number, got")
+
+#: Field annotation -> (parse, format) of its config value.
+_TYPES = {
+    "float": (_NUMBER, _fmt),
+    "float | None": (_NUMBER, _fmt),
+    "int": (_parser(int, "expects an integer, got"), str),
+    "bool": (_parser({"true": True, "false": False}.__getitem__,
+                     "expects true or false, got"), lambda v: str(v).lower()),
+    "str": (str, str),
+    "Boundary": (_choice({b.value: b for b in Boundary}), lambda b: b.value),
+    "tuple": (_names, ", ".join),
+}
+
+#: Kind tables: the value of the selecting key -> the class it builds.
+_PROFILES = {"flat": FlatBed, "gaussian_bump": GaussianBump}
+_MOTIONS = {"static": StaticBed, "sinusoid": SinusoidMotion,
+            "gaussian_pulse": GaussianPulseMotion}
+_INITIALS = {"lake_at_rest": LakeAtRest, "dam_break": DamBreak,
+             "monochromatic_wave": MonochromaticWave,
+             "gaussian_hump": GaussianHump, "manufactured": Manufactured}
 _TIERS = {t.value: t for t in ModelTier}
 
-
-def _parse_grid(sec):
-    x_min = sec.take_float("x_min")
-    x_max = sec.take_float("x_max")
-    n_cells = sec.take_int("n_cells")
-    boundary = sec.take_choice("boundary", _BOUNDARIES, default="Periodic")
-    sec.finish()
-    return _guard("grid", lambda: Grid(x_min, x_max, n_cells, boundary))
+#: Fields whose key is not their name (after the prefix).
+_RENAMED = {"angular_frequency": "omega"}
 
 
-def _parse_physics(sec):
-    g = sec.take_float("g", default=9.81)
-    nu = sec.take_float("nu", default=1e-6)
-    k_l = sec.take_float("k_l", default=0.0)
-    k_t = sec.take_float("k_t", default=0.0)
-    slope = sec.take_float("p_atm_slope", default=None)
-    sec.finish()
-    p_atm = ZeroPressure() if slope is None else GradientPressure(slope)
-    return _guard("physics",
-                  lambda: PhysicalParams(g=g, nu=nu, k_l=k_l, k_t=k_t,
-                                         p_atm=p_atm))
+def _keyed_fields(cls, prefix):
+    """``(field, key)`` for each field of ``cls`` that a config spells out."""
+    return [(f, prefix + _RENAMED.get(f.name, f.name))
+            for f in dataclasses.fields(cls) if f.type in _TYPES]
 
 
-def _parse_bathymetry(sec):
-    kind = sec.take_choice("profile", {"flat": "flat",
-                                       "gaussian_bump": "gaussian_bump"})
-    level = sec.take_float("level")
-    if kind == "flat":
-        profile = FlatBed(level=level)
-    else:
-        center = sec.take_float("center")
-        width = sec.take_float("width")
-        amplitude = sec.take_float("amplitude")
-        profile = _guard("bathymetry",
-                         lambda: GaussianBump(center=center, width=width,
-                                              amplitude=amplitude, level=level))
-    motion_kind = sec.take_choice(
-        "motion", {"static": "static", "sinusoid": "sinusoid",
-                   "gaussian_pulse": "gaussian_pulse"}, default="static")
-    if motion_kind == "static":
-        motion = StaticBed()
-    elif motion_kind == "sinusoid":
-        amplitude = sec.take_float("motion_amplitude")
-        omega = sec.take_float("motion_omega")
-        phase = sec.take_float("motion_phase", default=0.0)
-        motion = SinusoidMotion(amplitude=amplitude, angular_frequency=omega,
-                                phase=phase)
-    else:
-        amplitude = sec.take_float("motion_amplitude")
-        t0 = sec.take_float("motion_t0")
-        sigma = sec.take_float("motion_sigma")
-        motion = _guard("bathymetry",
-                        lambda: GaussianPulseMotion(amplitude=amplitude,
-                                                    t0=t0, sigma=sigma))
-    sec.finish()
-    return BathymetryField(profile, motion)
+def _read(sec, cls, prefix="", **given):
+    """Build ``cls`` from its fields' keys; a constructor ``ValueError``
+    becomes ``[section]: message``."""
+    values = {f.name: sec.take(key, _TYPES[f.type][0], f.default)
+              for f, key in _keyed_fields(cls, prefix)}
+    try:
+        return cls(**values, **given)
+    except ValueError as err:
+        raise ConfigError(f"[{sec.name}]: {err}") from None
 
 
-def _parse_initial(sec):
-    kinds = ("lake_at_rest", "dam_break", "monochromatic_wave",
-             "gaussian_hump", "manufactured")
-    kind = sec.take_choice("kind", {k: k for k in kinds})
-    if kind == "lake_at_rest":
-        spec = LakeAtRest(eta0=sec.take_float("eta0"))
-    elif kind == "dam_break":
-        spec = DamBreak(eta_left=sec.take_float("eta_left"),
-                        eta_right=sec.take_float("eta_right"),
-                        x0=sec.take_float("x0"))
-    elif kind == "monochromatic_wave":
-        spec = MonochromaticWave(amplitude=sec.take_float("amplitude"),
-                                 k=sec.take_float("k"))
-    elif kind == "gaussian_hump":
-        spec = GaussianHump(amplitude=sec.take_float("amplitude"),
-                            center=sec.take_float("center"),
-                            width=sec.take_float("width"))
-    else:
-        spec = Manufactured(case=sec.take_str("case"))
-    sec.finish()
-    return spec
-
-
-def _parse_stepping(sec):
-    tier = sec.take_choice("tier", _TIERS)
-    t_end = sec.take_float("t_end")
-    cfl = sec.take_float("cfl", default=0.5)
-    dt_max = sec.take_float("dt_max", default=math.inf)
-    fixed_dt = sec.take_float("fixed_dt", default=None)
-    first_order = sec.take_bool("first_order", default=False)
-    sec.finish()
-    controls = _guard("stepping",
-                      lambda: StepControls(t_end=t_end, cfl=cfl,
-                                           dt_max=dt_max, fixed_dt=fixed_dt,
-                                           first_order=first_order))
-    return tier, controls
-
-
-def _parse_output(sec):
-    interval = sec.take_float("snapshot_interval", default=None)
-    raw = sec.take_str("fields", default=None)
-    sec.finish()
-    fields = ()
-    if raw is not None:
-        fields = tuple(name.strip() for name in raw.split(",") if name.strip())
-        for name in fields:
-            if name not in SNAPSHOT_FIELDS:
-                known = ", ".join(SNAPSHOT_FIELDS)
-                raise ConfigError(f"output.fields: unknown field {name!r} "
-                                  f"(known: {known})")
-    if interval is not None and interval < 0.0:
-        raise ConfigError("output.snapshot_interval must be non-negative")
-    return OutputSpec(snapshot_interval=interval, fields=fields)
+def _check_snapshot_fields(fields, error, prefix):
+    known = ", ".join(SNAPSHOT_FIELDS)
+    for name in fields:
+        if name not in SNAPSHOT_FIELDS:
+            raise error(f"{prefix} {name!r} (known: {known})")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -374,19 +288,31 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     sections = _split_lines(text)
 
-    def section(name):
-        return _Section(name, sections.get(name, {}))
-
-    grid = _parse_grid(section("grid"))
-    params = _parse_physics(section("physics"))
-    bathymetry = _parse_bathymetry(section("bathymetry"))
-    initial = _parse_initial(section("initial"))
-    tier, controls = _parse_stepping(section("stepping"))
-    output = _parse_output(section("output"))
+    with _Section("grid", sections) as sec:
+        grid = _read(sec, Grid)
+    with _Section("physics", sections) as sec:
+        slope = sec.take("p_atm_slope", _NUMBER, None)
+        p_atm = ZeroPressure() if slope is None else GradientPressure(slope)
+        params = _read(sec, PhysicalParams, p_atm=p_atm)
+    with _Section("bathymetry", sections) as sec:
+        profile = _read(sec, sec.take("profile", _choice(_PROFILES)))
+        motion = _read(sec, sec.take("motion", _choice(_MOTIONS), StaticBed),
+                       "motion_")
+    with _Section("initial", sections) as sec:
+        initial = _read(sec, sec.take("kind", _choice(_INITIALS)))
+    with _Section("stepping", sections) as sec:
+        tier = sec.take("tier", _choice(_TIERS))
+        controls = _read(sec, StepControls)
+    with _Section("output", sections) as sec:
+        output = _read(sec, OutputSpec)
+    _check_snapshot_fields(output.fields, ConfigError,
+                           "output.fields: unknown field")
+    if output.snapshot_interval is not None and output.snapshot_interval < 0.0:
+        raise ConfigError("output.snapshot_interval must be non-negative")
 
     cfg = ScenarioConfig(grid=grid, tier=tier, params=params,
-                         bathymetry=bathymetry, initial=initial,
-                         controls=controls, output=output)
+                         bathymetry=BathymetryField(profile, motion),
+                         initial=initial, controls=controls, output=output)
     validate_config(cfg)
     return cfg
 
@@ -529,94 +455,51 @@ def regime_verdict(cfg: ScenarioConfig) -> RegimeClass:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
+def _field_lines(obj, prefix=""):
+    """``key = value`` per field of ``obj``; None and () are left out."""
+    lines = []
+    for f, key in _keyed_fields(obj, prefix):
+        value = getattr(obj, f.name)
+        if value is not None and not (isinstance(value, tuple) and not value):
+            lines.append(f"{key} = {_TYPES[f.type][1](value)}")
+    return lines
+
+
+def _kind_lines(key, table, obj, what, prefix=""):
+    """The selecting ``key = kind`` line followed by ``obj``'s fields."""
+    kinds = {cls: kind for kind, cls in table.items()}
+    if type(obj) not in kinds:
+        raise ConfigError(f"cannot serialize {what} {type(obj).__name__}")
+    return [f"{key} = {kinds[type(obj)]}"] + _field_lines(obj, prefix)
 
 
 def write_config(cfg: ScenarioConfig, path) -> None:
     """Serialize a config so that :func:`load_config` reproduces it exactly."""
-    lines = ["[grid]",
-             f"x_min = {_fmt(cfg.grid.x_min)}",
-             f"x_max = {_fmt(cfg.grid.x_max)}",
-             f"n_cells = {cfg.grid.n_cells}",
-             f"boundary = {cfg.grid.boundary.value}",
-             "",
-             "[physics]",
-             f"g = {_fmt(cfg.params.g)}",
-             f"nu = {_fmt(cfg.params.nu)}",
-             f"k_l = {_fmt(cfg.params.k_l)}",
-             f"k_t = {_fmt(cfg.params.k_t)}"]
     p_atm = cfg.params.p_atm
     if isinstance(p_atm, GradientPressure):
-        lines.append(f"p_atm_slope = {_fmt(p_atm.slope)}")
-    elif not isinstance(p_atm, ZeroPressure):
+        pressure = [f"p_atm_slope = {_fmt(p_atm.slope)}"]
+    elif isinstance(p_atm, ZeroPressure):
+        pressure = []
+    else:
         raise ConfigError(f"cannot serialize pressure field "
                           f"{type(p_atm).__name__}")
-
-    profile = cfg.bathymetry.profile
-    lines += ["", "[bathymetry]"]
-    if isinstance(profile, FlatBed):
-        lines += ["profile = flat", f"level = {_fmt(profile.level)}"]
-    elif isinstance(profile, GaussianBump):
-        lines += ["profile = gaussian_bump",
-                  f"level = {_fmt(profile.level)}",
-                  f"center = {_fmt(profile.center)}",
-                  f"width = {_fmt(profile.width)}",
-                  f"amplitude = {_fmt(profile.amplitude)}"]
-    else:
-        raise ConfigError(f"cannot serialize bed profile "
-                          f"{type(profile).__name__}")
-    motion = cfg.bathymetry.motion
-    if isinstance(motion, SinusoidMotion):
-        lines += ["motion = sinusoid",
-                  f"motion_amplitude = {_fmt(motion.amplitude)}",
-                  f"motion_omega = {_fmt(motion.angular_frequency)}",
-                  f"motion_phase = {_fmt(motion.phase)}"]
-    elif isinstance(motion, GaussianPulseMotion):
-        lines += ["motion = gaussian_pulse",
-                  f"motion_amplitude = {_fmt(motion.amplitude)}",
-                  f"motion_t0 = {_fmt(motion.t0)}",
-                  f"motion_sigma = {_fmt(motion.sigma)}"]
-
-    init = cfg.initial
-    lines += ["", "[initial]"]
-    if isinstance(init, LakeAtRest):
-        lines += ["kind = lake_at_rest", f"eta0 = {_fmt(init.eta0)}"]
-    elif isinstance(init, DamBreak):
-        lines += ["kind = dam_break",
-                  f"eta_left = {_fmt(init.eta_left)}",
-                  f"eta_right = {_fmt(init.eta_right)}",
-                  f"x0 = {_fmt(init.x0)}"]
-    elif isinstance(init, MonochromaticWave):
-        lines += ["kind = monochromatic_wave",
-                  f"amplitude = {_fmt(init.amplitude)}",
-                  f"k = {_fmt(init.k)}"]
-    elif isinstance(init, GaussianHump):
-        lines += ["kind = gaussian_hump",
-                  f"amplitude = {_fmt(init.amplitude)}",
-                  f"center = {_fmt(init.center)}",
-                  f"width = {_fmt(init.width)}"]
-    else:
-        lines += ["kind = manufactured", f"case = {init.case}"]
-
-    lines += ["", "[stepping]",
-              f"tier = {cfg.tier.value}",
-              f"t_end = {_fmt(cfg.controls.t_end)}",
-              f"cfl = {_fmt(cfg.controls.cfl)}",
-              f"dt_max = {_fmt(cfg.controls.dt_max)}"]
-    if cfg.controls.fixed_dt is not None:
-        lines.append(f"fixed_dt = {_fmt(cfg.controls.fixed_dt)}")
-    lines.append(f"first_order = {'true' if cfg.controls.first_order else 'false'}")
-
-    out = cfg.output
-    if out.snapshot_interval is not None or out.fields:
-        lines += ["", "[output]"]
-        if out.snapshot_interval is not None:
-            lines.append(f"snapshot_interval = {_fmt(out.snapshot_interval)}")
-        if out.fields:
-            lines.append(f"fields = {', '.join(out.fields)}")
-
-    Path(path).write_text("\n".join(lines) + "\n")
+    bed = cfg.bathymetry
+    bathymetry = _kind_lines("profile", _PROFILES, bed.profile, "bed profile")
+    if not isinstance(bed.motion, StaticBed):
+        bathymetry += _kind_lines("motion", _MOTIONS, bed.motion, "bed motion",
+                                  "motion_")
+    sections = {
+        "grid": _field_lines(cfg.grid),
+        "physics": _field_lines(cfg.params) + pressure,
+        "bathymetry": bathymetry,
+        "initial": _kind_lines("kind", _INITIALS, cfg.initial,
+                               "initial condition"),
+        "stepping": [f"tier = {cfg.tier.value}"] + _field_lines(cfg.controls),
+        "output": _field_lines(cfg.output),
+    }
+    blocks = [f"[{name}]\n" + "\n".join(lines)
+              for name, lines in sections.items() if lines]
+    Path(path).write_text("\n\n".join(blocks) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +578,7 @@ def _derived_columns(state, bathy, params, grid, tier, fields):
 def write_snapshot(state, bathy, params, grid, tier, path, fields=()) -> None:
     """Write one state as CSV: x, H, u_bar, eta, z_b, then any requested
     derived columns (bottom/surface vertical velocity, bottom pressure)."""
-    for name in fields:
-        if name not in SNAPSHOT_FIELDS:
-            known = ", ".join(SNAPSHOT_FIELDS)
-            raise ValueError(f"unknown snapshot field {name!r} (known: {known})")
+    _check_snapshot_fields(fields, ValueError, "unknown snapshot field")
     ordered = tuple(name for name in SNAPSHOT_FIELDS if name in fields)
 
     x = grid.cell_centers

@@ -284,9 +284,10 @@ def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
     return dHdt, dqdt
 
 
-def hydrostatic_tendency(state, bathy, params, grid, *, include_friction=True,
-                         first_order=False, stats=None, sources=None):
-    """Tendencies ``(dH/dt, dq/dt)`` of the viscous hydrostatic tier.
+def hydrostatic_tendency(state, bathy, params, grid, *, first_order=False,
+                         stats=None, sources=None):
+    """Tendencies ``(dH/dt, dq/dt)`` of the viscous hydrostatic tier,
+    including the pointwise wall-law damping ``-kappa_eff u_bar``.
 
     Parameters
     ----------
@@ -296,9 +297,6 @@ def hydrostatic_tendency(state, bathy, params, grid, *, include_friction=True,
     bathy : BathymetryField
     params : PhysicalParams
     grid : Grid
-    include_friction : bool
-        Add the pointwise damping ``-kappa_eff u_bar`` to ``dq/dt``.  The
-        time integrator disables this and treats friction implicitly.
     first_order : bool
         Drop the linear reconstruction (debug mode for convergence tests).
     stats : dict, optional
@@ -312,8 +310,7 @@ def hydrostatic_tendency(state, bathy, params, grid, *, include_friction=True,
         ``dH/dt`` and ``dq/dt`` at the cell centers.
     """
     f = _fields(state, bathy, grid)
-    kappa_ring = _ring_kappa(f, params) if include_friction else None
-    return _core_tendency(f, params, False, kappa_ring=kappa_ring,
+    return _core_tendency(f, params, False, kappa_ring=_ring_kappa(f, params),
                           first_order=first_order, stats=stats, sources=sources)
 
 

@@ -7,13 +7,15 @@ values.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from swdisp.core import (BathymetryField, Boundary, FlatBed, GaussianBump,
-                         GradientPressure, Grid, PhysicalParams,
-                         SinusoidMotion, StaticBed)
+                         GaussianPulseMotion, GradientPressure, Grid,
+                         PhysicalParams, SinusoidMotion, StaticBed,
+                         ZeroPressure)
 from swdisp.diagnostics import EnergyReport
 from swdisp.solver import StepControls
 from swdisp.io import (ConfigError, DamBreak, GaussianHump, LakeAtRest,
@@ -307,6 +309,126 @@ def test_full_round_trip_is_identity(tmp_path):
     # irrational floats survive the 17-significant-digit format exactly
     assert again.params.nu == cfg.params.nu
     assert again.bathymetry.profile.amplitude == cfg.bathymetry.profile.amplitude
+
+
+PROFILES = [FlatBed(level=-2.0),
+            GaussianBump(center=1.0, width=0.7, amplitude=1.0 / 7.0, level=-2.0)]
+MOTIONS = [StaticBed(),
+           SinusoidMotion(amplitude=0.001, angular_frequency=np.pi, phase=0.1),
+           GaussianPulseMotion(amplitude=0.002, t0=0.3, sigma=1.0 / 3.0)]
+INITIALS = [LakeAtRest(eta0=0.0),
+            DamBreak(eta_left=0.5, eta_right=1.0 / 3.0, x0=0.25),
+            MonochromaticWave(amplitude=1e-4, k=2.0 * np.pi / 10.0),
+            GaussianHump(amplitude=0.05, center=2.0, width=0.8),
+            Manufactured(case="manufactured-hydrostatic")]
+
+
+@pytest.mark.parametrize(
+    "profile, motion, initial",
+    list(itertools.product(PROFILES, MOTIONS, INITIALS)),
+    ids=lambda obj: type(obj).__name__)
+def test_round_trip_every_kind(tmp_path, profile, motion, initial):
+    static = isinstance(motion, StaticBed)
+    cfg = ScenarioConfig(
+        grid=Grid(-3.0, 7.0, 64, Boundary.COPY if static else Boundary.WALL),
+        tier=ModelTier.NONHYDRO2 if static else ModelTier.PEREGRINE_INVISCID,
+        params=PhysicalParams(nu=1e-3, p_atm=ZeroPressure() if static
+                              else GradientPressure(0.01)),
+        bathymetry=BathymetryField(profile, motion),
+        initial=initial,
+        controls=StepControls(t_end=0.5, first_order=static,
+                              fixed_dt=None if static else 1e-3),
+        output=OutputSpec(snapshot_interval=0.0 if static else None,
+                          fields=() if static else ("w_surface",)),
+    )
+    path = tmp_path / "kind.cfg"
+    write_config(cfg, path)
+    assert load_config(path) == cfg
+    assert ("motion" in path.read_text()) is not static
+
+
+FULL = """\
+[grid]
+x_min = -5.0
+x_max = 5.0
+n_cells = 128
+boundary = Wall
+
+[physics]
+g = 9.81
+nu = 0.001
+k_l = 0.01
+k_t = 0.1
+p_atm_slope = 0.02
+
+[bathymetry]
+profile = gaussian_bump
+level = -2.0
+center = 0.0
+width = 0.5
+amplitude = 0.4
+motion = gaussian_pulse
+motion_amplitude = 0.01
+motion_t0 = 1.0
+motion_sigma = 0.5
+
+[initial]
+kind = gaussian_hump
+amplitude = 0.1
+center = -1.0
+width = 0.8
+
+[stepping]
+tier = NonHydro2
+t_end = 2.0
+cfl = 0.4
+dt_max = 0.01
+fixed_dt = 0.005
+first_order = false
+
+[output]
+snapshot_interval = 0.5
+fields = w_bottom, p_bottom
+"""
+# keys whose absence falls back to a default; every other key is required
+OPTIONAL = {"boundary", "g", "nu", "k_l", "k_t", "p_atm_slope", "motion",
+            "cfl", "dt_max", "fixed_dt", "first_order", "snapshot_interval",
+            "fields"}
+
+
+def _key_lines(text):
+    section = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            yield lineno, section, line.split("=")[0].strip()
+
+
+@pytest.mark.parametrize("lineno, section, key", list(_key_lines(FULL)),
+                         ids=lambda v: str(v))
+def test_single_fault_on_each_key_line(tmp_path, lineno, section, key):
+    lines = FULL.splitlines()
+    deleted = "\n".join(lines[:lineno - 1] + lines[lineno:]) + "\n"
+    if key == "motion":
+        # the motion_* keys then belong to no motion kind
+        with pytest.raises(ConfigError, match="unknown key 'motion_amplitude'"):
+            _load(tmp_path, deleted)
+    elif key in OPTIONAL:
+        _load(tmp_path, deleted)
+    else:
+        with pytest.raises(ConfigError) as err:
+            _load(tmp_path, deleted)
+        assert f"{section}.{key}" in str(err.value)
+
+    malformed = "\n".join(lines[:lineno - 1] + [f"{key} = zz"]
+                          + lines[lineno:]) + "\n"
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, malformed)
+    msg = str(err.value)
+    assert f"{section}.{key}" in msg and "'zz'" in msg
+    if key != "fields":  # field names are checked after parsing
+        assert msg.startswith(f"line {lineno}: ")
 
 
 # ---------------------------------------------------------------------------

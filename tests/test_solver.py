@@ -17,6 +17,7 @@ from swdisp.core import (
     GaussianBump,
     Grid,
     PhysicalParams,
+    SinusoidMotion,
 )
 from swdisp.models import ModelTier
 from swdisp.solver import (BandedMatrix, SolverError, StepControls, run_simulation,
@@ -292,3 +293,33 @@ def test_step_derives_bed_and_kappa_once_per_stage(tier, monkeypatch):
          tier, 1e-3)
     assert counts["elevation"] == 2
     assert counts["friction_kappa"] <= 2
+
+
+def test_peregrine_reports_price_no_friction_or_viscosity():
+    """The inviscid tier's dynamics carry neither wall-law friction nor
+    viscosity, so its energy reports must not price them: wall-law
+    coefficients with nu = 0 no longer stop the run at its first report,
+    and the modeled rates equal those of the frictionless, inviscid run."""
+    grid = Grid(0.0, 10.0, 64, Boundary.PERIODIC)
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.3, level=-1.0),
+                            SinusoidMotion(amplitude=0.01,
+                                           angular_frequency=2.0))
+    x = grid.cell_centers
+    s0 = lake_at_rest(grid, bathy)
+    s0 = FlowState(t=0.0, H=s0.H + 0.05 * np.exp(-0.5 * ((x - 3.0) / 0.8)**2),
+                   q=np.zeros_like(s0.H))
+
+    def run(**physics):
+        return run_simulation(s0, bathy, PhysicalParams(**physics), grid,
+                              ModelTier.PEREGRINE_INVISCID,
+                              StepControls(t_end=0.05))
+
+    smooth = run(nu=0.0, k_l=0.0, k_t=0.0)
+    assert any(rep.modeled_rate != 0.0 for rep in smooth.reports)
+    for physics in (dict(nu=0.0, k_l=0.01, k_t=0.05),
+                    dict(nu=1e-3, k_l=0.01, k_t=0.05)):
+        rough = run(**physics)
+        np.testing.assert_array_equal(rough.states[-1].q, smooth.states[-1].q)
+        assert ([rep.modeled_rate for rep in rough.reports]
+                == [rep.modeled_rate for rep in smooth.reports])
