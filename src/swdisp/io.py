@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,13 @@ SNAPSHOT_FIELDS = ("w_bottom", "w_surface", "p_bottom")
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
+
+
+def _csv_rows(columns):
+    """One CSV line per row of the equal-length number ``columns``, each
+    value with 17 significant digits (``"%.17g" % v`` is ``_fmt(v)``)."""
+    row = ",".join(["%.17g"] * len(columns))
+    return [row % values for values in zip(*columns)]
 
 
 class ConfigError(ValueError):
@@ -224,22 +232,40 @@ def _choice(table):
     return _parser(table.__getitem__, f"must be one of {names}; got")
 
 
-def _names(raw):
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
+def _snapshot_fields(raw):
+    names = tuple(name.strip() for name in raw.split(",") if name.strip())
+    _check_snapshot_fields(names, "unknown field")
+    return names
 
 
-_NUMBER = _parser(float, "expects a number, got")
+def _not_nan(raw):
+    value = float(raw)
+    if math.isnan(value):
+        raise ValueError
+    return value
+
+
+_NUMBER_OR_INF = _parser(_not_nan, "expects a number, got")
+
+
+def _number(raw):
+    """A finite float: ``nan`` is not a number, ``±inf`` is not finite."""
+    value = _NUMBER_OR_INF(raw)
+    if math.isinf(value):
+        raise ValueError(f"expects a finite number, got {raw!r}")
+    return value
+
 
 #: Field annotation -> (parse, format) of its config value.
 _TYPES = {
-    "float": (_NUMBER, _fmt),
-    "float | None": (_NUMBER, _fmt),
+    "float": (_number, _fmt),
+    "float | None": (_number, _fmt),
     "int": (_parser(int, "expects an integer, got"), str),
     "bool": (_parser({"true": True, "false": False}.__getitem__,
                      "expects true or false, got"), lambda v: str(v).lower()),
     "str": (str, str),
     "Boundary": (_choice({b.value: b for b in Boundary}), lambda b: b.value),
-    "tuple": (_names, ", ".join),
+    "tuple": (_snapshot_fields, ", ".join),
 }
 
 #: Kind tables: the value of the selecting key -> the class it builds.
@@ -261,10 +287,19 @@ def _keyed_fields(cls, prefix):
             for f in dataclasses.fields(cls) if f.type in _TYPES]
 
 
+def _parse(f):
+    """The value parser of field ``f``.  Numbers are finite, except that a
+    field whose default is infinite also takes ``inf``."""
+    parse = _TYPES[f.type][0]
+    if parse is _number and f.default in (math.inf, -math.inf):
+        return _NUMBER_OR_INF
+    return parse
+
+
 def _read(sec, cls, prefix="", **given):
     """Build ``cls`` from its fields' keys; a constructor ``ValueError``
     becomes ``[section]: message``."""
-    values = {f.name: sec.take(key, _TYPES[f.type][0], f.default)
+    values = {f.name: sec.take(key, _parse(f), f.default)
               for f, key in _keyed_fields(cls, prefix)}
     try:
         return cls(**values, **given)
@@ -272,11 +307,11 @@ def _read(sec, cls, prefix="", **given):
         raise ConfigError(f"[{sec.name}]: {err}") from None
 
 
-def _check_snapshot_fields(fields, error, prefix):
+def _check_snapshot_fields(fields, prefix):
     known = ", ".join(SNAPSHOT_FIELDS)
     for name in fields:
         if name not in SNAPSHOT_FIELDS:
-            raise error(f"{prefix} {name!r} (known: {known})")
+            raise ValueError(f"{prefix} {name!r} (known: {known})")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -291,7 +326,7 @@ def load_config(path) -> ScenarioConfig:
     with _Section("grid", sections) as sec:
         grid = _read(sec, Grid)
     with _Section("physics", sections) as sec:
-        slope = sec.take("p_atm_slope", _NUMBER, None)
+        slope = sec.take("p_atm_slope", _number, None)
         p_atm = ZeroPressure() if slope is None else GradientPressure(slope)
         params = _read(sec, PhysicalParams, p_atm=p_atm)
     with _Section("bathymetry", sections) as sec:
@@ -305,8 +340,6 @@ def load_config(path) -> ScenarioConfig:
         controls = _read(sec, StepControls)
     with _Section("output", sections) as sec:
         output = _read(sec, OutputSpec)
-    _check_snapshot_fields(output.fields, ConfigError,
-                           "output.fields: unknown field")
     if output.snapshot_interval is not None and output.snapshot_interval < 0.0:
         raise ConfigError("output.snapshot_interval must be non-negative")
 
@@ -516,7 +549,7 @@ def _build_tag() -> str:
                               timeout=10)
         if proc.returncode == 0 and proc.stdout.strip():
             return proc.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     try:
         from importlib.metadata import version
@@ -578,7 +611,7 @@ def _derived_columns(state, bathy, params, grid, tier, fields):
 def write_snapshot(state, bathy, params, grid, tier, path, fields=()) -> None:
     """Write one state as CSV: x, H, u_bar, eta, z_b, then any requested
     derived columns (bottom/surface vertical velocity, bottom pressure)."""
-    _check_snapshot_fields(fields, ValueError, "unknown snapshot field")
+    _check_snapshot_fields(fields, "unknown snapshot field")
     ordered = tuple(name for name in SNAPSHOT_FIELDS if name in fields)
 
     x = grid.cell_centers
@@ -590,18 +623,17 @@ def write_snapshot(state, bathy, params, grid, tier, path, fields=()) -> None:
     names = ("x", "H", "u_bar", "eta", "z_b") + ordered
     lines = [f"# t={_fmt(state.t)} tier={tier.value} build={_build_tag()}",
              ",".join(names)]
-    for i in range(grid.n_cells):
-        lines.append(",".join(_fmt(columns[name][i]) for name in names))
+    lines += _csv_rows([columns[name].tolist() for name in names])
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_timeseries(reports, path) -> None:
     """Write per-step energy reports as CSV (one row per report)."""
-    lines = ["t,mass,momentum,E_h,E_ext,dissipation_rate,budget_residual"]
-    for rep in reports:
-        lines.append(",".join(_fmt(v) for v in (
-            rep.t, rep.mass, rep.momentum, rep.E_h, rep.E_ext,
-            rep.dissipation_rate, rep.budget_residual)))
+    names = ("t", "mass", "momentum", "E_h", "E_ext", "dissipation_rate",
+             "budget_residual")
+    lines = [",".join(names)]
+    lines += _csv_rows([[getattr(rep, name) for rep in reports]
+                        for name in names])
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -8,13 +8,15 @@ values.
 
 import dataclasses
 import itertools
+import subprocess
 
 import numpy as np
 import pytest
 
-from swdisp.core import (BathymetryField, Boundary, FlatBed, GaussianBump,
-                         GaussianPulseMotion, GradientPressure, Grid,
-                         PhysicalParams, SinusoidMotion, StaticBed,
+import swdisp.io as swio
+from swdisp.core import (BathymetryField, Boundary, FlatBed, FlowState,
+                         GaussianBump, GaussianPulseMotion, GradientPressure,
+                         Grid, PhysicalParams, SinusoidMotion, StaticBed,
                          ZeroPressure)
 from swdisp.diagnostics import EnergyReport
 from swdisp.solver import StepControls
@@ -427,8 +429,40 @@ def test_single_fault_on_each_key_line(tmp_path, lineno, section, key):
         _load(tmp_path, malformed)
     msg = str(err.value)
     assert f"{section}.{key}" in msg and "'zz'" in msg
-    if key != "fields":  # field names are checked after parsing
-        assert msg.startswith(f"line {lineno}: ")
+    assert msg.startswith(f"line {lineno}: ")
+
+
+def _number_key_lines(text):
+    lines = text.splitlines()
+    for lineno, section, key in _key_lines(text):
+        try:
+            float(lines[lineno - 1].split("=")[1])
+        except ValueError:
+            continue
+        yield lineno, section, key
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("lineno, section, key",
+                         list(_number_key_lines(FULL)), ids=lambda v: str(v))
+def test_non_finite_number_rejected_on_its_line(tmp_path, lineno, section, key,
+                                                value):
+    lines = FULL.splitlines()
+    text = "\n".join(lines[:lineno - 1] + [f"{key} = {value}"]
+                     + lines[lineno:]) + "\n"
+    if key == "dt_max" and value != "nan":
+        # its default is inf, so a written default must load back
+        if value == "inf":
+            assert _load(tmp_path, text).controls.dt_max == np.inf
+        else:
+            with pytest.raises(ConfigError, match="dt_max must be positive"):
+                _load(tmp_path, text)
+        return
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, text)
+    msg = str(err.value)
+    assert msg.startswith(f"line {lineno}: {section}.{key} ")
+    assert repr(value) in msg
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +599,43 @@ def test_snapshot_bytes_are_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _oracle_rows(columns):
+    """One value at a time, as the writers are specified to format them."""
+    return [",".join(format(float(v), ".17g") for v in row)
+            for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("tier", list(ModelTier), ids=lambda t: t.value)
+def test_snapshot_bytes_match_per_value_formatting(tmp_path, tier):
+    grid = Grid(0.0, 10.0, 32, Boundary.WALL)
+    bathy = BathymetryField(
+        GaussianBump(center=5.0, width=1.0, amplitude=0.3, level=-1.0),
+        SinusoidMotion(amplitude=0.01, angular_frequency=2.0))
+    params = PhysicalParams(nu=1e-3, k_l=1e-2, k_t=1e-2,
+                            p_atm=GradientPressure(0.02))
+    x = grid.cell_centers
+    H = 1.0 + 0.1 * np.sin(x)
+    H[3:8] = [-0.0, 1.0 / 3.0, 1e-5, 5e-324, 1e16]
+    q = 0.1 * H * np.cos(x)
+    q[3:8] = 0.0
+    q[10] = -0.0
+    state = FlowState(t=0.25, H=H, q=q)
+    path = tmp_path / "snap.csv"
+    write_snapshot(state, bathy, params, grid, tier, path,
+                   fields=swio.SNAPSHOT_FIELDS)
+
+    zb = bathy.elevation(x, state.t)
+    derived = swio._derived_columns(state, bathy, params, grid, tier,
+                                    swio.SNAPSHOT_FIELDS)
+    columns = [x, H, state.velocity(), zb + H, zb] + [
+        derived[name] for name in swio.SNAPSHOT_FIELDS]
+    expected = [f"# t=0.25 tier={tier.value} build={swio._build_tag()}",
+                "x,H,u_bar,eta,z_b,w_bottom,w_surface,p_bottom"]
+    expected += _oracle_rows(columns)
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert ",-0," in path.read_text()
+
+
 def test_snapshot_floats_keep_17_significant_digits(tmp_path):
     cfg, state = _make_run(tmp_path)
     state = dataclasses.replace(state, H=np.full_like(state.H, 1.0 / 3.0))
@@ -595,6 +666,39 @@ def test_timeseries_columns(tmp_path):
     assert first[5] == "nan" and first[6] == "nan"
     second = lines[2].split(",")
     assert float(second[5]) == -1.0 and float(second[6]) == 0.9
+
+
+def test_timeseries_bytes_match_per_value_formatting(tmp_path):
+    inf = float("inf")
+    reports = [
+        EnergyReport(t=0.0, mass=1.0 / 3.0, momentum=-0.0, E_h=1e16,
+                     E_ext=5e-324),
+        EnergyReport(t=1e-5, mass=inf, momentum=-inf, E_h=np.float64(0.1),
+                     E_ext=2.0, dissipation_rate=-inf, budget_residual=inf),
+        EnergyReport(t=0.5, mass=1.0, momentum=0.0, E_h=1e-300, E_ext=1e300,
+                     dissipation_rate=-1.0 / 3.0, budget_residual=0.0),
+    ]
+    names = ("t", "mass", "momentum", "E_h", "E_ext", "dissipation_rate",
+             "budget_residual")
+    path = tmp_path / "series.csv"
+    write_timeseries(reports, path)
+    expected = [",".join(names)] + _oracle_rows(
+        [[getattr(rep, name) for rep in reports] for name in names])
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert expected[1].endswith(",nan,nan")
+
+
+def test_build_tag_survives_hung_git(monkeypatch):
+    def hung(args, **kwargs):
+        raise subprocess.TimeoutExpired(args, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hung)
+    swio._build_tag.cache_clear()
+    try:
+        tag = swio._build_tag()
+    finally:
+        swio._build_tag.cache_clear()
+    assert isinstance(tag, str) and tag
 
 
 def test_manifest_records_regime_verdict(tmp_path):
