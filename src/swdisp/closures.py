@@ -122,7 +122,8 @@ def depth_integrated_w_squared(H, eta, z_b, u_bar, du_dx, dzb_dx, dzb_dt):
     """
     s = du_dx
     w0 = dzb_dt + z_b * s + u_bar * dzb_dx
-    return w0**2 * H - w0 * s * (eta**2 - z_b**2) + s**2 * (eta**3 - z_b**3) / 3.0
+    return (w0**2 * H - w0 * s * (eta**2 - z_b**2)
+            + s**2 * (eta * eta * eta - z_b * z_b * z_b) / 3.0)
 
 
 def pressure_hydrostatic(z, eta, du_dx, p_a, params: PhysicalParams):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closures import depth_integrated_w_squared
-from .models import (ModelTier, _fields, _friction_coefficient, _interior,
-                     _ring_kappa)
+from .models import (ModelTier, _friction_coefficient, _interior,
+                     _ring_kappa, _RunContext)
 
 __all__ = [
     "EnergyReport",
@@ -59,9 +59,12 @@ class EnergyReport:
     budget_residual: float = math.nan
 
 
-def energy_hydro(state, bathy, params, grid):
-    """Hydrostatic energy report (E_ext coincides with E_h here)."""
-    f = _fields(state, bathy, grid)
+def energy_hydro(state, bathy, params, grid, *, context=None):
+    """Hydrostatic energy report (E_ext coincides with E_h here).
+
+    ``context`` is the run's ``models._RunContext`` (built when absent).
+    """
+    f = (context or _RunContext(bathy, params, grid)).fields(state)
     return _energy_hydro(f, params, ModelTier.HYDROSTATIC,
                          _ring_kappa(f, params))
 
@@ -92,12 +95,13 @@ def _energy_hydro(f, params, tier, kappa_ring):
                         modeled_rate=rate)
 
 
-def energy_extended(state, bathy, params, grid, tier):
-    """Energy report including the tier's vertical kinetic energy."""
+def energy_extended(state, bathy, params, grid, tier, *, context=None):
+    """Energy report including the tier's vertical kinetic energy
+    (``context`` as for :func:`energy_hydro`)."""
     if tier is ModelTier.HYDROSTATIC:
         raise ValueError("the hydrostatic tier has no extended energy; "
                          "use energy_hydro")
-    f = _fields(state, bathy, grid)
+    f = (context or _RunContext(bathy, params, grid)).fields(state)
     kappa_ring = _ring_kappa(f, params, tier)
     report = _energy_hydro(f, params, tier, kappa_ring)
     H, u = f.H, f.u

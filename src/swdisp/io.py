@@ -29,7 +29,8 @@ from .core import (AnalyticPressure, BathymetryField, Boundary, FlatBed,
                    GradientPressure, Grid, PhysicalParams, RegimeClass,
                    SampledBed, ScalingRegime, SinusoidMotion, StaticBed,
                    ZeroPressure, classify_regime)
-from .models import DRY_THRESHOLD, ModelTier, _centered_difference, _pad
+from .models import (DRY_THRESHOLD, ModelTier, _centered_difference,
+                     _interior, _pad, _RunContext)
 from .solver import StepControls
 
 __all__ = [
@@ -558,25 +559,19 @@ def _build_tag() -> str:
         return "unknown"
 
 
-def _centered_gradient(values, boundary, dx, parity=1.0):
-    padded = _pad(values, boundary, parity=parity)
-    return _centered_difference(padded[1:-1], dx)
-
-
-def _derived_columns(state, bathy, params, grid, tier, fields):
-    """Compute the requested derived snapshot columns (dict name -> array)."""
+def _derived_columns(state, bathy, params, grid, tier, fields, *,
+                     context=None):
+    """Compute the requested derived snapshot columns (dict name -> array)
+    from the state's field bundle in ``context`` (built when absent)."""
     from . import closures
 
-    x = grid.cell_centers
-    t = state.t
-    dx = grid.dx
-    H = state.H
-    u = state.velocity()
-    zb = bathy.elevation(x, t)
-    eta = zb + H
+    context = context or _RunContext(bathy, params, grid)
+    f = context.fields(state)
+    x, t, dx, bc = f.x, f.t, f.dx, grid.boundary
+    H, u, zb, eta = f.H, f.u, f.zb, f.eta
     zbx = bathy.slope(x, t)
     zbt = bathy.rate(x, t)
-    dudx = _centered_gradient(u, grid.boundary, dx, parity=-1.0)
+    dudx = _interior(f.ux_ring)
 
     out = {}
     if "w_bottom" in fields:
@@ -590,16 +585,15 @@ def _derived_columns(state, bathy, params, grid, tier, fields):
         else:
             from .models import assemble_dispersive
             system = assemble_dispersive(state, bathy, params, grid, tier,
-                                         include_pointwise_friction=True)
+                                         include_pointwise_friction=True,
+                                         context=context)
             a = system.A.solve(system.F)
-            dadx = _centered_gradient(a, grid.boundary, dx, parity=-1.0)
-            detadx = _centered_gradient(eta, grid.boundary, dx)
-            detadt = zbt - _centered_gradient(H * u, grid.boundary, dx,
-                                              parity=-1.0)
-            d2u = _centered_gradient(dudx, grid.boundary, dx)
-            d2zbu = _centered_gradient(
-                _centered_gradient(zb * u, grid.boundary, dx, parity=-1.0),
-                grid.boundary, dx)
+            dadx = _centered_difference(_pad(a, bc, -1.0)[1:-1], dx)
+            detadx = _interior(_centered_difference(f.etap, dx))
+            detadt = zbt - _interior(_centered_difference(f.Hp * f.up, dx))
+            d2u = _centered_difference(_pad(dudx, bc)[1:-1], dx)
+            dzbu = _interior(_centered_difference(f.zp * f.up, dx))
+            d2zbu = _centered_difference(_pad(dzbu, bc)[1:-1], dx)
             out["p_bottom"] = closures.pressure_nonhydrostatic(
                 zb, tier=tier, params=params, eta=eta, z_b=zb, u_bar=u,
                 du_dx=dudx, a=a, da_dx=dadx, dzb_dx=zbx, dzb_dt=zbt,
@@ -614,11 +608,11 @@ def write_snapshot(state, bathy, params, grid, tier, path, fields=()) -> None:
     _check_snapshot_fields(fields, "unknown snapshot field")
     ordered = tuple(name for name in SNAPSHOT_FIELDS if name in fields)
 
-    x = grid.cell_centers
-    zb = bathy.elevation(x, state.t)
-    columns = {"x": x, "H": state.H, "u_bar": state.velocity(),
-               "eta": zb + state.H, "z_b": zb}
-    columns.update(_derived_columns(state, bathy, params, grid, tier, ordered))
+    context = _RunContext(bathy, params, grid)
+    f = context.fields(state)
+    columns = {"x": f.x, "H": f.H, "u_bar": f.u, "eta": f.eta, "z_b": f.zb}
+    columns.update(_derived_columns(state, bathy, params, grid, tier, ordered,
+                                    context=context))
 
     names = ("x", "H", "u_bar", "eta", "z_b") + ordered
     lines = [f"# t={_fmt(state.t)} tier={tier.value} build={_build_tag()}",

@@ -11,7 +11,13 @@ explicit forcings.  For the hydrostatic tier ``A = diag(H)``.  The
 dispersive tiers reuse the hydrostatic tendencies for their advective core
 and add the inertia of the non-hydrostatic pressure, which makes ``A``
 tridiagonal.  ``A`` is built from its stencil diagonals so the
-linear-algebra layer can apply boundary folding and solve it.
+linear-algebra layer can apply boundary folding and solve it.  For
+NonHydro1 and PeregrineInviscid all of ``A`` but the ``H a`` term depends on
+the bed alone, so on a static bed a run builds those parts once.
+
+A run keeps what it does not change in one private :class:`_RunContext`
+(grid, bed, bed-only operator parts, a steady pressure gradient), which
+also hands out one field bundle (:class:`_Fields`) per state.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
@@ -27,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .closures import effective_friction, friction_kappa
-from .core import DRY_THRESHOLD, Boundary
+from .core import DRY_THRESHOLD, Boundary, GradientPressure, ZeroPressure
 
 __all__ = [
     "ModelTier",
@@ -99,10 +105,13 @@ class _Fields:
 
     ``Hp``, ``up``, ``zp``, ``etap`` carry ``NGHOST`` ghost cells per side.
     ``eta`` and the ``*_ring`` centered first derivatives (width-1 ring) are
-    computed on first use, as not every path reads them.  ``bed_rate`` and
-    ``bed_accel`` are ``db/dt`` and ``d^2b/dt^2`` of the separable bed.
+    computed on first use, as not every path reads them (a static bed's
+    slope comes from ``context``).  ``bed_rate`` and ``bed_accel`` are
+    ``db/dt`` and ``d^2b/dt^2`` of the separable bed; ``grad_pa`` is the
+    atmospheric-pressure gradient.
     """
 
+    context: "_RunContext"
     t: float
     x: np.ndarray
     dx: float
@@ -116,6 +125,8 @@ class _Fields:
     etap: np.ndarray
     bed_rate: float
     bed_accel: float
+    grad_pa: np.ndarray
+    kappa_ring: np.ndarray = None  # set by _ring_kappa
 
     @cached_property
     def eta(self):
@@ -127,6 +138,8 @@ class _Fields:
 
     @cached_property
     def zbx_ring(self):
+        if self.context.static:
+            return self.context.zbx_ring
         return _centered_difference(self.zp, self.dx)
 
     @cached_property
@@ -134,19 +147,71 @@ class _Fields:
         return _centered_difference(self.Hp, self.dx)
 
 
-def _fields(state, bathy, grid):
-    """The :class:`_Fields` of ``state`` on ``grid`` over ``bathy``."""
-    x = grid.cell_centers
-    t = state.t
-    bc = grid.boundary
-    u = state.velocity()
-    zb = bathy.elevation(x, t)
-    Hp = _pad(state.H, bc, 1.0)
-    zp = _pad(zb, bc, 1.0)
-    return _Fields(t=t, x=x, dx=grid.dx, H=state.H, q=state.q, u=u, zb=zb,
-                   Hp=Hp, up=_pad(u, bc, -1.0), zp=zp, etap=zp + Hp,
-                   bed_rate=float(bathy.motion.rate(t)),
-                   bed_accel=float(bathy.motion.accel(t)))
+class _RunContext:
+    """What a run does not change, and the fields of the last state seen.
+
+    Built once per run by :func:`swdisp.solver.run_simulation`, and per
+    call by a public function that gets none: the cell centres, the padded
+    profile ``Z_b`` (a moving bed adds ``b(t)`` per state), a static bed's
+    ``z_b``, ``zp`` and ``zbx_ring``, and a steady pressure gradient.
+    :meth:`fields` returns the last bundle again for the same state object,
+    so a state must not be mutated after its fields were taken, and a
+    context serves one set of :class:`PhysicalParams` (its bundles keep
+    their wall-law kappa).
+    """
+
+    def __init__(self, bathy, params, grid):
+        self.motion = bathy.motion
+        self.p_atm = params.p_atm
+        self.boundary = grid.boundary
+        self.x = grid.cell_centers
+        self.dx = grid.dx
+        self.Zp = _pad(bathy.profile.value(self.x), self.boundary)
+        self.static = bathy.is_static
+        if self.static:
+            self.zp = self.Zp + self.motion.value(0.0)
+            self.zb = self.zp[NGHOST:-NGHOST]
+            self.zbx_ring = _centered_difference(self.zp, self.dx)
+        self.steady_pressure = isinstance(self.p_atm,
+                                          (ZeroPressure, GradientPressure))
+        if self.steady_pressure:
+            self.grad_pa = self.p_atm.grad_x(self.x, 0.0)
+        self._last = (None, None)
+
+    @cached_property
+    def bed_operator(self):
+        """Static-bed parts of :func:`_bed_operator`.  Built once, they can
+        afford numpy's slow ``zp**3``; a moving bed's per-stage build uses
+        ``zp * zp * zp``, which may differ in the last bit."""
+        return _bed_operator(self.zp, self.zb, self.zbx_ring, self.dx,
+                             self.boundary, self.zp**3)
+
+    def fields(self, state):
+        """The :class:`_Fields` of ``state``, built once per state object."""
+        last, f = self._last
+        if state is not last:
+            f = self._build(state)
+            self._last = (state, f)
+        return f
+
+    def _build(self, state):
+        t = state.t
+        bc = self.boundary
+        if self.static:
+            zp, zb, rate, accel = self.zp, self.zb, 0.0, 0.0
+        else:
+            zp = self.Zp + self.motion.value(t)
+            zb = zp[NGHOST:-NGHOST]
+            rate = float(self.motion.rate(t))
+            accel = float(self.motion.accel(t))
+        grad_pa = (self.grad_pa if self.steady_pressure
+                   else self.p_atm.grad_x(self.x, t))
+        u = state.velocity()
+        Hp = _pad(state.H, bc, 1.0)
+        return _Fields(context=self, t=t, x=self.x, dx=self.dx, H=state.H,
+                       q=state.q, u=u, zb=zb, Hp=Hp, up=_pad(u, bc, -1.0),
+                       zp=zp, etap=zp + Hp, bed_rate=rate, bed_accel=accel,
+                       grad_pa=grad_pa)
 
 
 def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
@@ -274,9 +339,8 @@ def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
     if not inviscid and params.nu > 0.0:
         dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, params.nu)
 
-    grad_pa = params.p_atm.grad_x(f.x, f.t)
-    if np.any(grad_pa):
-        dqdt = dqdt - f.H * grad_pa
+    if np.any(f.grad_pa):
+        dqdt = dqdt - f.H * f.grad_pa
 
     if kappa_ring is not None:
         dqdt = dqdt - _friction_coefficient(
@@ -309,13 +373,13 @@ def hydrostatic_tendency(state, bathy, params, grid, *, first_order=False,
     (ndarray, ndarray)
         ``dH/dt`` and ``dq/dt`` at the cell centers.
     """
-    f = _fields(state, bathy, grid)
+    f = _RunContext(bathy, params, grid).fields(state)
     return _core_tendency(f, params, False, kappa_ring=_ring_kappa(f, params),
                           first_order=first_order, stats=stats, sources=sources)
 
 
 def _ring_kappa(f, params, tier=None):
-    """Wall-law ``kappa`` on the width-1 ring.
+    """Wall-law ``kappa`` on the width-1 ring, evaluated once per bundle.
 
     ``None`` for the inviscid tier and without wall-law friction
     (``k_l = k_t = 0``); :func:`friction_kappa` is then not evaluated.
@@ -323,7 +387,10 @@ def _ring_kappa(f, params, tier=None):
     if tier is ModelTier.PEREGRINE_INVISCID or (params.k_l == 0.0
                                                 and params.k_t == 0.0):
         return None
-    return friction_kappa(f.up[1:-1], f.zbx_ring, f.Hp[1:-1], params)
+    if f.kappa_ring is None:
+        f.kappa_ring = friction_kappa(f.up[1:-1], f.zbx_ring, f.Hp[1:-1],
+                                      params)
+    return f.kappa_ring
 
 
 def _friction_coefficient(f, kappa_ring, params, tier):
@@ -347,7 +414,7 @@ def pointwise_friction_coefficient(state, bathy, params, grid, tier):
     Hydrostatic: ``kappa_eff``.  Dispersive viscous tiers additionally carry
     the bed-slope enhancement ``(1 + 5/2 (dz_b/dx)^2)``.  Inviscid tier: 0.
     """
-    f = _fields(state, bathy, grid)
+    f = _RunContext(bathy, params, grid).fields(state)
     return _friction_coefficient(f, _ring_kappa(f, params, tier), params, tier)
 
 
@@ -378,17 +445,17 @@ class DispersiveSystem:
     friction: np.ndarray = field(default=None)
 
 
-def _operator_stencils(Hc, zc, coeff1_cells, coeff2_cells, slope_c1,
-                       slope_c2, zbx, dx, boundary):
-    """Band diagonals of ``A[a] = H a + d/dx(flux) + dz_b/dx * slope``.
+def _operator_parts(zc, coeff1_cells, coeff2_cells, slope_c1, slope_c2, zbx,
+                    dx, boundary):
+    """Band parts ``(sub, X, Y, sup)`` of ``A[a] = H a + d/dx(flux)
+    + dz_b/dx * slope``, whose diagonal is ``(H - X) - Y``.
 
     ``flux = coeff1 da/dx + coeff2 d(z_b a)/dx`` discretized with arithmetic
     face averages of the cellwise coefficient arrays and one-gap face
     gradients; ``slope = slope_c1 da/dx + slope_c2 d(z_b a)/dx`` uses
     centered differences.  ``coeff*``/``zc`` are width-1-ring arrays;
-    ``Hc``/``zbx``/``slope_*`` are real-cell arrays.
+    ``zbx``/``slope_*`` are real-cell arrays.
     """
-    n = Hc.size
     c1_face_R = 0.5 * (coeff1_cells[1:-1] + coeff1_cells[2:])
     c1_face_L = 0.5 * (coeff1_cells[1:-1] + coeff1_cells[:-2])
     c2_face_R = 0.5 * (coeff2_cells[1:-1] + coeff2_cells[2:])
@@ -407,11 +474,25 @@ def _operator_stencils(Hc, zc, coeff1_cells, coeff2_cells, slope_c1,
 
     sup1 = (c1_face_R + c2_face_R * zc_R) * inv_dx2 \
         + zbx * (slope_c1 + slope_c2 * zc_R) * inv_2dx
-    diag = Hc - (c1_face_R + c1_face_L) * inv_dx2 \
-        - (c2_face_R + c2_face_L) * zc_mid * inv_dx2
+    X = (c1_face_R + c1_face_L) * inv_dx2
+    Y = (c2_face_R + c2_face_L) * zc_mid * inv_dx2
     sub1 = (c1_face_L + c2_face_L * zc_L) * inv_dx2 \
         - zbx * (slope_c1 + slope_c2 * zc_L) * inv_2dx
-    return {-1: sub1, 0: diag, 1: sup1}
+    return sub1, X, Y, sup1
+
+
+def _bed_operator(zp, zb, zbx_ring, dx, boundary, zp_cubed):
+    """Operator parts of NonHydro1 and PeregrineInviscid, which depend on
+    the bed alone:
+
+    ``A[a] = H a + d/dx(-(z_b^3/6) da/dx + (z_b^2/2) d(z_b a)/dx)
+    + dz_b/dx ((z_b^2/2) da/dx - z_b d(z_b a)/dx)``.
+    """
+    ring = slice(1, -1)
+    z_ring = zp[ring]
+    return _operator_parts(z_ring, -zp_cubed[ring] / 6.0, z_ring**2 / 2.0,
+                           zb**2 / 2.0, -zb, _interior(zbx_ring), dx,
+                           boundary)
 
 
 def _dry_guard(stencils, H):
@@ -434,7 +515,7 @@ def _dry_guard(stencils, H):
 
 def assemble_dispersive(state, bathy, params, grid, tier, *,
                         include_pointwise_friction=True, first_order=False,
-                        stats=None, sources=None, debug=False):
+                        stats=None, sources=None, debug=False, context=None):
     """Build the implicit system ``A[a] = F`` of a tier.
 
     Parameters mirror :func:`hydrostatic_tendency`; ``tier`` selects the
@@ -443,7 +524,8 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     ``include_pointwise_friction=False`` leaves the damping ``-c u_bar`` out
     of ``F`` and reports ``c`` in ``DispersiveSystem.friction`` for implicit
     treatment.  ``debug`` turns on diagonal-dominance and residual checking
-    in the linear algebra.
+    in the linear algebra.  ``context`` is the run's :class:`_RunContext`
+    (one is built when absent).
 
     Returns
     -------
@@ -451,7 +533,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     """
     from .solver import BandedMatrix
 
-    f = _fields(state, bathy, grid)
+    f = (context or _RunContext(bathy, params, grid)).fields(state)
     H, u = f.H, f.u
     kappa_ring = _ring_kappa(f, params, tier)
     if tier is ModelTier.HYDROSTATIC:
@@ -516,18 +598,15 @@ def _dispersive_terms(f, params, boundary, tier, kappa_ring, *, first_order,
         #            + dz_b/dx ((H^2/2 - eta H) da/dx + H d(z_b a)/dx)
         coeff1 = Hp**3 / 6.0 - etap * Hp**2 / 2.0
         coeff2 = Hp**2 / 2.0
-        slope_c1 = H**2 / 2.0 - f.eta * H
-        slope_c2 = H
+        sub, X, Y, sup = _operator_parts(z_ring, coeff1[ring], coeff2[ring],
+                                         H**2 / 2.0 - f.eta * H, H, zbx, dx,
+                                         boundary)
+    elif f.context.static:
+        sub, X, Y, sup = f.context.bed_operator
     else:
-        # A[a] = H a + d/dx(-(z_b^3/6) da/dx + (z_b^2/2) d(z_b a)/dx)
-        #            + dz_b/dx ((z_b^2/2) da/dx - z_b d(z_b a)/dx)
-        coeff1 = -(zp**3) / 6.0
-        coeff2 = zp**2 / 2.0
-        slope_c1 = zb**2 / 2.0
-        slope_c2 = -zb
-
-    stencils = _operator_stencils(H, z_ring, coeff1[ring], coeff2[ring],
-                                  slope_c1, slope_c2, zbx, dx, boundary)
+        sub, X, Y, sup = _bed_operator(zp, zb, zbx_ring, dx, boundary,
+                                       zp * zp * zp)
+    stencils = {-1: sub, 0: H - X - Y, 1: sup}
 
     # ---- explicit dispersive forcings ------------------------------------
     if tier in (ModelTier.NONHYDRO1, ModelTier.PEREGRINE_INVISCID):
@@ -621,7 +700,7 @@ def steady_residual(state, bathy, params, grid, tier):
     drops viscosity/friction and applies the surface-gradient pressure in
     non-conservative form.
     """
-    f = _fields(state, bathy, grid)
+    f = _RunContext(bathy, params, grid).fields(state)
     if tier is ModelTier.PEREGRINE_INVISCID:
         return _core_tendency(f, params, True)[1]
     kappa_ring = _ring_kappa(f, params)

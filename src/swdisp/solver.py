@@ -3,7 +3,7 @@
 Every tier's implicit acceleration problem is tridiagonal (plus two
 wrap-around corners on periodic domains); the hydrostatic tier's is the
 diagonal case.  A diagonal matrix is solved by division, any other by
-LAPACK's tridiagonal solver via :func:`scipy.linalg.solve_banded`; periodic
+LAPACK's tridiagonal solver ``dgtsv`` (:mod:`scipy.linalg.lapack`); periodic
 corners are removed with the cyclic-tridiagonal Sherman-Morrison step
 (Temperton 1975; Numerical Recipes section 2.7), one extra right-hand side
 in the same call.
@@ -12,7 +12,11 @@ Time integration is a two-stage explicit-in-flux, implicit-in-friction
 scheme: each stage advances mass in flux form (exact conservation), solves
 for the depth-averaged acceleration, and applies the pointwise friction as
 an implicit divisor; the two stage results are averaged (Heun), giving
-second-order accuracy in time.
+second-order accuracy in time.  :func:`run_simulation` builds one
+``models._RunContext`` for the run, so what the run does not change (the
+grid, a static bed and its operator parts, a steady pressure gradient) is
+computed once, and each state's field bundle is shared by its report and
+the step that leaves it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import DRY_THRESHOLD, Boundary, FlowState
-from .models import ModelTier, assemble_dispersive
+from .models import ModelTier, _RunContext, assemble_dispersive
 
 __all__ = [
     "SolverError",
@@ -118,7 +122,7 @@ class BandedMatrix:
         """Solve ``A x = b``; a singular matrix raises :class:`SolverError`.
 
         A diagonal matrix is solved by division, any other by LAPACK
-        ``?gtsv``.  Corners are split off as ``A = T + u v^T`` with
+        ``dgtsv``.  Corners are split off as ``A = T + u v^T`` with
         ``u = (gamma, 0, .., 0, A[n-1, 0])``, ``v = (1, 0, .., 0,
         A[0, n-1] / gamma)``, ``gamma = -A[0, 0]``; ``T y = b`` and
         ``T z = u`` share one call and ``x = y - (v.y / (1 + v.z)) z``.
@@ -132,7 +136,7 @@ class BandedMatrix:
                 raise SolverError("banded solve failed: singular matrix")
             x = b / diag
         else:
-            bands, rhs = self.bands, b
+            bands, rhs, owned = self.bands, b, False
             if self.corners:
                 upper, lower = self.corners
                 gamma = -diag[0]
@@ -140,14 +144,19 @@ class BandedMatrix:
                 bands = bands.copy()
                 bands[1, 0] -= gamma
                 bands[1, -1] -= lower * ratio
-                rhs = np.zeros((self.n, 2))
+                rhs = np.zeros((self.n, 2), order="F")
                 rhs[:, 0] = b
                 rhs[0, 1] = gamma
                 rhs[-1, 1] += lower
-            try:
-                x = solve_banded((1, 1), bands, rhs)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise SolverError(f"banded solve failed: {exc}") from exc
+                owned = True
+            if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
+                raise SolverError("banded solve failed: array must not "
+                                  "contain infs or NaNs")
+            # LAPACK may overwrite only the copies made above
+            *_, x, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs,
+                                owned, owned, owned, owned)
+            if info > 0:
+                raise SolverError("banded solve failed: singular matrix")
             if self.corners:
                 y, z = x[:, 0], x[:, 1]
                 denom = 1.0 + z[0] + ratio * z[-1]
@@ -190,35 +199,37 @@ class StepControls:
             raise ValueError("fixed_dt must be positive")
 
 
-def stable_dt(state, params, grid, controls):
+def stable_dt(state, params, grid, controls, *, context=None):
     """Admissible time step for the current state.
 
     Returns ``controls.fixed_dt`` verbatim when set; otherwise the CFL bound
     on the gravity-wave speed over wet cells.  Raises ``ValueError`` when
-    every cell is dry (no wave speed to bound).
+    every cell is dry (no wave speed to bound).  With the run's
+    ``context`` the velocity comes from the state's field bundle, which the
+    step then reuses.
     """
     if controls.fixed_dt is not None:
         return controls.fixed_dt
     wet = state.H >= DRY_THRESHOLD
     if not np.any(wet):
         raise ValueError("cannot size a time step: all cells are dry")
-    u = state.velocity()
+    u = state.velocity() if context is None else context.fields(state).u
     speed = np.max(np.abs(u[wet]) + np.sqrt(params.g * state.H[wet]))
     return min(controls.dt_max, controls.cfl * grid.dx / speed)
 
 
 def _stage(state, bathy, params, grid, tier, dt, *, stats, sources,
-           first_order, debug):
+           first_order, debug, context):
     """One explicit-flux / implicit-friction Euler stage."""
     H0 = state.H
-    u0 = state.velocity()
+    u0 = context.fields(state).u
     wet0 = H0 >= DRY_THRESHOLD
     H_safe = np.where(wet0, H0, 1.0)
 
     system = assemble_dispersive(
         state, bathy, params, grid, tier,
         include_pointwise_friction=False, first_order=first_order,
-        stats=stats, sources=sources, debug=debug)
+        stats=stats, sources=sources, debug=debug, context=context)
     a = system.A.solve(system.F, check=debug)
 
     H1 = H0 + dt * system.dHdt
@@ -235,19 +246,22 @@ def _stage(state, bathy, params, grid, tier, dt, *, stats, sources,
 
 
 def step(state, bathy, params, grid, tier, dt, *, stats=None, sources=None,
-         first_order=False, debug=False):
+         first_order=False, debug=False, context=None):
     """Advance one time step of size ``dt`` (two-stage average, second order).
 
     Mass is updated in flux form in both stages, so the average conserves it
     exactly on periodic and walled domains (up to positivity clamping of
     draining cells, which is counted in ``stats['positivity_clamps']``).
+    ``context`` is the run's ``models._RunContext`` (built when absent).
     """
+    context = context or _RunContext(bathy, params, grid)
     kw = dict(stats=stats, sources=sources, first_order=first_order,
-              debug=debug)
+              debug=debug, context=context)
+    u0 = context.fields(state).u
     s1 = _stage(state, bathy, params, grid, tier, dt, **kw)
     s2 = _stage(s1, bathy, params, grid, tier, dt, **kw)
     H_new = 0.5 * (state.H + s2.H)
-    u_new = 0.5 * (state.velocity() + s2.velocity())
+    u_new = 0.5 * (u0 + s2.velocity())
     u_new = np.where(H_new >= DRY_THRESHOLD, u_new, 0.0)
     return FlowState(t=state.t + dt, H=H_new, q=H_new * u_new)
 
@@ -293,10 +307,12 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     """
     from .diagnostics import attach_measured_rates, energy_extended, energy_hydro
 
+    context = _RunContext(bathy, params, grid)
+
     def make_report(s):
         if tier is ModelTier.HYDROSTATIC:
-            return energy_hydro(s, bathy, params, grid)
-        return energy_extended(s, bathy, params, grid, tier)
+            return energy_hydro(s, bathy, params, grid, context=context)
+        return energy_extended(s, bathy, params, grid, tier, context=context)
 
     s = state.copy()
     _check_finite(s, 0)
@@ -310,11 +326,11 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     next_mark = s.t + snapshot_interval if snapshot_interval else None
 
     while s.t < t_end - guard:
-        dt = stable_dt(s, params, grid, controls)
+        dt = stable_dt(s, params, grid, controls, context=context)
         dt = min(dt, t_end - s.t)
         s = step(s, bathy, params, grid, tier, dt, stats=stats,
                  sources=sources, first_order=controls.first_order,
-                 debug=debug)
+                 debug=debug, context=context)
         stats["steps"] += 1
         _check_finite(s, stats["steps"])
         if collect_reports:

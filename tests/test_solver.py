@@ -267,32 +267,136 @@ def test_non_finite_state_raises_solver_error(tier):
     assert "cell 5" in str(err.value)
 
 
-@pytest.mark.parametrize("tier", list(ModelTier))
-def test_step_derives_bed_and_kappa_once_per_stage(tier, monkeypatch):
-    """One bed evaluation and at most one wall-law kappa per stage."""
-    import swdisp.models
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
+
+def _bump_run_setup():
     grid = Grid(0.0, 10.0, 64, Boundary.PERIODIC)
     bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
                                          amplitude=0.3, level=-1.0))
     H = lake_at_rest(grid, bathy, eta0=0.01).H
     state = FlowState(t=0.0, H=H, q=0.1 * H)
+    return grid, bathy, state, PhysicalParams(nu=1e-3, k_l=1e-2, k_t=0.05)
+
+
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_step_derives_bed_and_kappa_once_per_stage(tier, monkeypatch):
+    """A static bed is evaluated at most once per step, and the wall-law
+    kappa at most once per stage."""
+    import swdisp.models
+
+    grid, bathy, state, params = _bump_run_setup()
     counts = {"elevation": 0, "friction_kappa": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(BathymetryField, "elevation",
-                        counting("elevation", BathymetryField.elevation))
+                        _counting(counts, "elevation", BathymetryField.elevation))
     monkeypatch.setattr(swdisp.models, "friction_kappa",
-                        counting("friction_kappa", swdisp.models.friction_kappa))
-    step(state, bathy, PhysicalParams(nu=1e-3, k_l=1e-2, k_t=0.05), grid,
-         tier, 1e-3)
-    assert counts["elevation"] == 2
+                        _counting(counts, "friction_kappa",
+                                  swdisp.models.friction_kappa))
+    step(state, bathy, params, grid, tier, 1e-3)
+    assert counts["elevation"] <= 1
     assert counts["friction_kappa"] <= 2
+
+
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_static_bed_run_derives_grid_and_bed_once(tier, monkeypatch):
+    """On a static bed, the cell centres and the bed are run constants: a
+    run of 20 steps evaluates them as often as a run of 5."""
+    grid, bathy, state, params = _bump_run_setup()
+    counts = {"elevation": 0, "cell_centers": 0}
+    monkeypatch.setattr(BathymetryField, "elevation",
+                        _counting(counts, "elevation", BathymetryField.elevation))
+    monkeypatch.setattr(Grid, "cell_centers", property(_counting(
+        counts, "cell_centers", Grid.cell_centers.fget)))
+    seen = []
+    for n_steps in (5, 20):
+        counts.update(elevation=0, cell_centers=0)
+        result = run_simulation(state, bathy, params, grid, tier,
+                                StepControls(t_end=n_steps * 1e-3,
+                                             fixed_dt=1e-3))
+        assert result.stats["steps"] == n_steps
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_run_derives_velocity_at_most_four_times_per_step(tier, monkeypatch):
+    """With reports on, a state's velocity is shared by its report, the
+    time-step choice and the step that leaves it."""
+    grid, bathy, state, params = _bump_run_setup()
+    counts = {"velocity": 0}
+    monkeypatch.setattr(FlowState, "velocity",
+                        _counting(counts, "velocity", FlowState.velocity))
+    seen = []
+    for t_end in (0.02, 0.08):
+        counts["velocity"] = 0
+        result = run_simulation(state, bathy, params, grid, tier,
+                                StepControls(t_end=t_end))
+        seen.append((result.stats["steps"], counts["velocity"]))
+    (steps_short, calls_short), (steps_long, calls_long) = seen
+    assert steps_long > steps_short
+    assert calls_long - calls_short <= 4 * (steps_long - steps_short)
+
+
+REPORT_FIELDS = ("t", "mass", "momentum", "E_h", "E_ext", "modeled_rate",
+                 "dissipation_rate", "budget_residual")
+
+
+@pytest.mark.parametrize("bed", ["bump", "sampled", "moving"])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_run_matches_hand_loop_of_public_functions(tier, boundary, bed):
+    """What a run computes once and shares between calls must not go stale:
+    ``run_simulation`` gives the final state and every report of a loop over
+    the public ``stable_dt``, ``step`` and energy functions, which derive
+    everything afresh on each call."""
+    from swdisp.core import GradientPressure, SampledBed
+    from swdisp.diagnostics import (attach_measured_rates, energy_extended,
+                                    energy_hydro)
+
+    grid = Grid(0.0, 10.0, 32, boundary)
+    x = grid.cell_centers
+    bump = GaussianBump(center=5.0, width=1.0, amplitude=0.3, level=-1.0)
+    bathy = {"bump": BathymetryField(bump),
+             "sampled": BathymetryField(SampledBed(bump.value(x))),
+             "moving": BathymetryField(bump, SinusoidMotion(
+                 amplitude=0.01, angular_frequency=2.0, phase=0.4))}[bed]
+    params = PhysicalParams(nu=1e-3, k_l=1e-2, k_t=0.05,
+                            p_atm=GradientPressure(0.01))
+    H = lake_at_rest(grid, bathy, eta0=0.05 * np.exp(-0.5 * (x - 3.0)**2)).H
+    u = 0.0 if boundary is Boundary.WALL else 0.05 * np.sin(0.2 * np.pi * x)
+    s0 = FlowState(t=0.0, H=H, q=H * u)
+    controls = StepControls(t_end=0.06, cfl=0.45)
+
+    def report(s):
+        if tier is ModelTier.HYDROSTATIC:
+            return energy_hydro(s, bathy, params, grid)
+        return energy_extended(s, bathy, params, grid, tier)
+
+    s, reports = s0, [report(s0)]
+    while s.t < controls.t_end - 1e-12:
+        dt = min(stable_dt(s, params, grid, controls), controls.t_end - s.t)
+        s = step(s, bathy, params, grid, tier, dt, stats={})
+        reports.append(report(s))
+    attach_measured_rates(reports)
+
+    result = run_simulation(s0, bathy, params, grid, tier, controls)
+    got = np.array([[getattr(r, k) for k in REPORT_FIELDS]
+                    for r in result.reports])
+    want = np.array([[getattr(r, k) for k in REPORT_FIELDS] for r in reports])
+    final = result.states[-1]
+    if bed == "moving":
+        for a, b in ((final.H, s.H), (final.q, s.q), (got, want)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13 * np.nanmax(
+                np.abs(b)))
+            assert np.array_equal(np.isnan(a), np.isnan(b))
+    else:
+        np.testing.assert_array_equal(final.H, s.H)
+        np.testing.assert_array_equal(final.q, s.q)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_peregrine_reports_price_no_friction_or_viscosity():
