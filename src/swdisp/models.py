@@ -11,12 +11,11 @@ explicit forcings.  For the hydrostatic tier ``A = diag(H)``.  The
 dispersive tiers reuse the hydrostatic tendencies for their advective core
 and add the inertia of the non-hydrostatic pressure, which makes ``A``
 tridiagonal.  ``A`` is built from its stencil diagonals so the
-linear-algebra layer can apply boundary folding and solve it.  For
-NonHydro1 and PeregrineInviscid all of ``A`` but the ``H a`` term depends on
-the bed alone, so on a static bed a run builds those parts once.
+linear-algebra layer can apply boundary folding and solve it.
 
-A run keeps what it does not change in one private :class:`_RunContext`
-(grid, bed, bed-only operator parts, a steady pressure gradient), which
+A run keeps what it does not change in one private :class:`_RunContext`:
+the grid, a static bed and, as NonHydro1's and PeregrineInviscid's ``A``
+apart from ``H a`` depends on the bed alone, those bed parts of ``A``.  It
 also hands out one field bundle (:class:`_Fields`) per state.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
