@@ -169,7 +169,6 @@ class _RunContext:
         self.static = bathy.is_static
         if self.static:
             self.zp = self.Zp + self.motion.value(0.0)
-            self.zb = self.zp[NGHOST:-NGHOST]
             self.zbx_ring = _centered_difference(self.zp, self.dx)
         self.steady_pressure = isinstance(self.p_atm,
                                           (ZeroPressure, GradientPressure))
@@ -182,8 +181,8 @@ class _RunContext:
         """Static-bed parts of :func:`_bed_operator`.  Built once, they can
         afford numpy's slow ``zp**3``; a moving bed's per-stage build uses
         ``zp * zp * zp``, which may differ in the last bit."""
-        return _bed_operator(self.zp, self.zb, self.zbx_ring, self.dx,
-                             self.boundary, self.zp**3)
+        return _bed_operator(self.zp, self.zbx_ring, self.dx, self.boundary,
+                             self.zp**3)
 
     def fields(self, state):
         """The :class:`_Fields` of ``state``, built once per state object."""
@@ -194,23 +193,17 @@ class _RunContext:
         return f
 
     def _build(self, state):
-        t = state.t
-        bc = self.boundary
-        if self.static:
-            zp, zb, rate, accel = self.zp, self.zb, 0.0, 0.0
-        else:
-            zp = self.Zp + self.motion.value(t)
-            zb = zp[NGHOST:-NGHOST]
-            rate = float(self.motion.rate(t))
-            accel = float(self.motion.accel(t))
+        t, bc = state.t, self.boundary
+        zp = self.zp if self.static else self.Zp + self.motion.value(t)
         grad_pa = (self.grad_pa if self.steady_pressure
                    else self.p_atm.grad_x(self.x, t))
         u = state.velocity()
         Hp = _pad(state.H, bc, 1.0)
         return _Fields(context=self, t=t, x=self.x, dx=self.dx, H=state.H,
-                       q=state.q, u=u, zb=zb, Hp=Hp, up=_pad(u, bc, -1.0),
-                       zp=zp, etap=zp + Hp, bed_rate=rate, bed_accel=accel,
-                       grad_pa=grad_pa)
+                       q=state.q, u=u, zb=zp[NGHOST:-NGHOST], Hp=Hp,
+                       up=_pad(u, bc, -1.0), zp=zp, etap=zp + Hp,
+                       bed_rate=float(self.motion.rate(t)),
+                       bed_accel=float(self.motion.accel(t)), grad_pa=grad_pa)
 
 
 def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
@@ -480,18 +473,18 @@ def _operator_parts(zc, coeff1_cells, coeff2_cells, slope_c1, slope_c2, zbx,
     return sub1, X, Y, sup1
 
 
-def _bed_operator(zp, zb, zbx_ring, dx, boundary, zp_cubed):
+def _bed_operator(zp, zbx_ring, dx, boundary, zp_cubed):
     """Operator parts of NonHydro1 and PeregrineInviscid, which depend on
     the bed alone:
 
     ``A[a] = H a + d/dx(-(z_b^3/6) da/dx + (z_b^2/2) d(z_b a)/dx)
     + dz_b/dx ((z_b^2/2) da/dx - z_b d(z_b a)/dx)``.
     """
-    ring = slice(1, -1)
-    z_ring = zp[ring]
-    return _operator_parts(z_ring, -zp_cubed[ring] / 6.0, z_ring**2 / 2.0,
-                           zb**2 / 2.0, -zb, _interior(zbx_ring), dx,
-                           boundary)
+    z_ring = zp[1:-1]
+    zb = _interior(z_ring)
+    return _operator_parts(z_ring, -_interior(zp_cubed) / 6.0,
+                           z_ring**2 / 2.0, zb**2 / 2.0, -zb,
+                           _interior(zbx_ring), dx, boundary)
 
 
 def _dry_guard(stencils, H):
@@ -603,7 +596,7 @@ def _dispersive_terms(f, params, boundary, tier, kappa_ring, *, first_order,
     elif f.context.static:
         sub, X, Y, sup = f.context.bed_operator
     else:
-        sub, X, Y, sup = _bed_operator(zp, zb, zbx_ring, dx, boundary,
+        sub, X, Y, sup = _bed_operator(zp, zbx_ring, dx, boundary,
                                        zp * zp * zp)
     stencils = {-1: sub, 0: H - X - Y, 1: sup}
 

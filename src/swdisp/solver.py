@@ -13,10 +13,8 @@ scheme: each stage advances mass in flux form (exact conservation), solves
 for the depth-averaged acceleration, and applies the pointwise friction as
 an implicit divisor; the two stage results are averaged (Heun), giving
 second-order accuracy in time.  :func:`run_simulation` builds one
-``models._RunContext`` for the run, so what the run does not change (the
-grid, a static bed and its operator parts, a steady pressure gradient) is
-computed once, and each state's field bundle is shared by its report and
-the step that leaves it.
+``models._RunContext``, so what the run does not change is computed once
+and a state's report, time-step choice and step share one field bundle.
 """
 
 from __future__ import annotations
@@ -204,9 +202,8 @@ def stable_dt(state, params, grid, controls, *, context=None):
 
     Returns ``controls.fixed_dt`` verbatim when set; otherwise the CFL bound
     on the gravity-wave speed over wet cells.  Raises ``ValueError`` when
-    every cell is dry (no wave speed to bound).  With the run's
-    ``context`` the velocity comes from the state's field bundle, which the
-    step then reuses.
+    every cell is dry (no wave speed to bound).  ``context`` is the run's
+    ``models._RunContext``; the velocity then comes from its field bundle.
     """
     if controls.fixed_dt is not None:
         return controls.fixed_dt
