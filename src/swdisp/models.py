@@ -104,13 +104,12 @@ class _Fields:
 
     ``Hp``, ``up``, ``zp``, ``etap`` carry ``NGHOST`` ghost cells per side.
     ``eta`` and the ``*_ring`` centered first derivatives (width-1 ring) are
-    computed on first use, as not every path reads them (a static bed's
-    slope comes from ``context``).  ``bed_rate`` and ``bed_accel`` are
+    computed on first use, as not every path reads them (the run context
+    sets a static bed's slope).  ``bed_rate`` and ``bed_accel`` are
     ``db/dt`` and ``d^2b/dt^2`` of the separable bed; ``grad_pa`` is the
     atmospheric-pressure gradient.
     """
 
-    context: "_RunContext"
     t: float
     x: np.ndarray
     dx: float
@@ -137,8 +136,6 @@ class _Fields:
 
     @cached_property
     def zbx_ring(self):
-        if self.context.static:
-            return self.context.zbx_ring
         return _centered_difference(self.zp, self.dx)
 
     @cached_property
@@ -156,7 +153,9 @@ class _RunContext:
     :meth:`fields` returns the last bundle again for the same state object,
     so a state must not be mutated after its fields were taken, and a
     context serves one set of :class:`PhysicalParams` (its bundles keep
-    their wall-law kappa).
+    their wall-law kappa).  Bundles hold no reference back to the context:
+    a context built per call is then freed at once, not by the cyclic
+    garbage collector.
     """
 
     def __init__(self, bathy, params, grid):
@@ -199,11 +198,13 @@ class _RunContext:
                    else self.p_atm.grad_x(self.x, t))
         u = state.velocity()
         Hp = _pad(state.H, bc, 1.0)
-        return _Fields(context=self, t=t, x=self.x, dx=self.dx, H=state.H,
-                       q=state.q, u=u, zb=zp[NGHOST:-NGHOST], Hp=Hp,
-                       up=_pad(u, bc, -1.0), zp=zp, etap=zp + Hp,
-                       bed_rate=float(self.motion.rate(t)),
-                       bed_accel=float(self.motion.accel(t)), grad_pa=grad_pa)
+        f = _Fields(t=t, x=self.x, dx=self.dx, H=state.H, q=state.q, u=u,
+                    zb=zp[NGHOST:-NGHOST], Hp=Hp, up=_pad(u, bc, -1.0), zp=zp,
+                    etap=zp + Hp, bed_rate=float(self.motion.rate(t)),
+                    bed_accel=float(self.motion.accel(t)), grad_pa=grad_pa)
+        if self.static:
+            f.zbx_ring = self.zbx_ring  # in place of the cached property
+        return f
 
 
 def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
@@ -525,7 +526,8 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     """
     from .solver import BandedMatrix
 
-    f = (context or _RunContext(bathy, params, grid)).fields(state)
+    context = context or _RunContext(bathy, params, grid)
+    f = context.fields(state)
     H, u = f.H, f.u
     kappa_ring = _ring_kappa(f, params, tier)
     if tier is ModelTier.HYDROSTATIC:
@@ -535,7 +537,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
         stencils = {0: H}
     else:
         stencils, F, dHdt = _dispersive_terms(
-            f, params, grid.boundary, tier, kappa_ring,
+            f, context, params, tier, kappa_ring,
             first_order=first_order, stats=stats, sources=sources)
     A = BandedMatrix.from_stencils(_dry_guard(stencils, H), grid.boundary)
 
@@ -558,10 +560,10 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
 
 
-def _dispersive_terms(f, params, boundary, tier, kappa_ring, *, first_order,
+def _dispersive_terms(f, context, params, tier, kappa_ring, *, first_order,
                       stats, sources):
     """Stencils of ``A``, ``F`` without pointwise friction, and ``dH/dt``."""
-    dx = f.dx
+    dx, boundary = f.dx, context.boundary
     H, u, zb = f.H, f.u, f.zb
 
     # ---- advective core -------------------------------------------------
@@ -593,8 +595,8 @@ def _dispersive_terms(f, params, boundary, tier, kappa_ring, *, first_order,
         sub, X, Y, sup = _operator_parts(z_ring, coeff1[ring], coeff2[ring],
                                          H**2 / 2.0 - f.eta * H, H, zbx, dx,
                                          boundary)
-    elif f.context.static:
-        sub, X, Y, sup = f.context.bed_operator
+    elif context.static:
+        sub, X, Y, sup = context.bed_operator
     else:
         sub, X, Y, sup = _bed_operator(zp, zbx_ring, dx, boundary,
                                        zp * zp * zp)
