@@ -149,7 +149,7 @@ class _RunContext:
     Built once per run by :func:`swdisp.solver.run_simulation`, and per
     call by a public function that gets none: the cell centres, the padded
     profile ``Z_b`` (a moving bed adds ``b(t)`` per state), a static bed's
-    ``z_b``, ``zp`` and ``zbx_ring``, and a steady pressure gradient.
+    ``zp`` and ``zbx_ring``, and a steady pressure gradient.
     :meth:`fields` returns the last bundle again for the same state object,
     so a state must not be mutated after its fields were taken, and a
     context serves one set of :class:`PhysicalParams` (its bundles keep
