@@ -62,9 +62,10 @@ class EnergyReport:
 def energy_hydro(state, bathy, params, grid, *, context=None):
     """Hydrostatic energy report (E_ext coincides with E_h here).
 
-    ``context`` is the run's ``models._RunContext`` (built when absent).
+    ``context`` is the run's ``models._RunContext`` (built when absent; one
+    built from other ``bathy``, ``params`` or ``grid`` raises ``ValueError``).
     """
-    f = (context or _RunContext(bathy, params, grid)).fields(state)
+    f = _RunContext.of(context, bathy, params, grid).fields(state)
     return _energy_hydro(f, params, ModelTier.HYDROSTATIC,
                          _ring_kappa(f, params))
 
@@ -101,7 +102,7 @@ def energy_extended(state, bathy, params, grid, tier, *, context=None):
     if tier is ModelTier.HYDROSTATIC:
         raise ValueError("the hydrostatic tier has no extended energy; "
                          "use energy_hydro")
-    f = (context or _RunContext(bathy, params, grid)).fields(state)
+    f = _RunContext.of(context, bathy, params, grid).fields(state)
     kappa_ring = _ring_kappa(f, params, tier)
     report = _energy_hydro(f, params, tier, kappa_ring)
     H, u = f.H, f.u

@@ -565,7 +565,7 @@ def _derived_columns(state, bathy, params, grid, tier, fields, *,
     from the state's field bundle in ``context`` (built when absent)."""
     from . import closures
 
-    context = context or _RunContext(bathy, params, grid)
+    context = _RunContext.of(context, bathy, params, grid)
     f = context.fields(state)
     x, t, dx, bc = f.x, f.t, f.dx, grid.boundary
     H, u, zb, eta = f.H, f.u, f.zb, f.eta

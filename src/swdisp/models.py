@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -104,10 +104,10 @@ class _Fields:
 
     ``Hp``, ``up``, ``zp``, ``etap`` carry ``NGHOST`` ghost cells per side.
     ``eta`` and the ``*_ring`` centered first derivatives (width-1 ring) are
-    computed on first use, as not every path reads them (the run context
-    sets a static bed's slope).  ``bed_rate`` and ``bed_accel`` are
-    ``db/dt`` and ``d^2b/dt^2`` of the separable bed; ``grad_pa`` is the
-    atmospheric-pressure gradient.
+    computed on first use, as not every path reads them; a static bed's
+    slope comes from the run context's shared ``static_slope``.
+    ``bed_rate`` and ``bed_accel`` are ``db/dt`` and ``d^2b/dt^2`` of the
+    separable bed; ``grad_pa`` is the atmospheric-pressure gradient.
     """
 
     t: float
@@ -125,6 +125,7 @@ class _Fields:
     bed_accel: float
     grad_pa: np.ndarray
     kappa_ring: np.ndarray = None  # set by _ring_kappa
+    static_slope: object = None  # _RunContext.static_slope, static beds only
 
     @cached_property
     def eta(self):
@@ -136,6 +137,8 @@ class _Fields:
 
     @cached_property
     def zbx_ring(self):
+        if self.static_slope is not None:
+            return self.static_slope()
         return _centered_difference(self.zp, self.dx)
 
     @cached_property
@@ -147,18 +150,18 @@ class _RunContext:
     """What a run does not change, and the fields of the last state seen.
 
     Built once per run by :func:`swdisp.solver.run_simulation`, and per
-    call by a public function that gets none: the cell centres, the padded
-    profile ``Z_b`` (a moving bed adds ``b(t)`` per state), a static bed's
-    ``zp`` and ``zbx_ring``, and a steady pressure gradient.
-    :meth:`fields` returns the last bundle again for the same state object,
-    so a state must not be mutated after its fields were taken, and a
-    context serves one set of :class:`PhysicalParams` (its bundles keep
-    their wall-law kappa).  Bundles hold no reference back to the context:
-    a context built per call is then freed at once, not by the cyclic
-    garbage collector.
+    call by a public function that gets none (see :meth:`of`): the cell
+    centres, the padded profile ``Z_b`` (a moving bed adds ``b(t)`` per
+    state), a static bed's ``zp`` and, on first use, its ``zbx_ring`` and a
+    steady pressure gradient.  :meth:`fields` returns the last bundle again
+    for the same state object, so a state must not be mutated after its
+    fields were taken.  Bundles hold no reference back to the context: a
+    context built per call is then freed at once, not by the cyclic garbage
+    collector.
     """
 
     def __init__(self, bathy, params, grid):
+        self.bathy, self.params, self.grid = bathy, params, grid
         self.motion = bathy.motion
         self.p_atm = params.p_atm
         self.boundary = grid.boundary
@@ -167,21 +170,43 @@ class _RunContext:
         self.Zp = _pad(bathy.profile.value(self.x), self.boundary)
         self.static = bathy.is_static
         if self.static:
-            self.zp = self.Zp + self.motion.value(0.0)
-            self.zbx_ring = _centered_difference(self.zp, self.dx)
+            self.zp = zp = self.Zp + self.motion.value(0.0)
+            dx = self.dx
+            # a closure over the bed, not a bound method: bundles keep it
+            self.static_slope = cache(lambda: _centered_difference(zp, dx))
         self.steady_pressure = isinstance(self.p_atm,
                                           (ZeroPressure, GradientPressure))
-        if self.steady_pressure:
-            self.grad_pa = self.p_atm.grad_x(self.x, 0.0)
         self._last = (None, None)
+
+    @classmethod
+    def of(cls, context, bathy, params, grid):
+        """``context``, or a new context when it is None.
+
+        Raises ``ValueError`` when ``context`` was built from other objects
+        than ``bathy``, ``params`` and ``grid``: its bed, boundary, pressure
+        gradient and the wall-law kappa of its bundles would silently stand
+        in for theirs.
+        """
+        if context is None:
+            return cls(bathy, params, grid)
+        if not (context.bathy is bathy and context.params is params
+                and context.grid is grid):
+            raise ValueError("context was built from another bathymetry, "
+                             "params or grid")
+        return context
+
+    @cached_property
+    def grad_pa(self):
+        """Gradient of a steady (zero or uniform-gradient) pressure field."""
+        return self.p_atm.grad_x(self.x, 0.0)
 
     @cached_property
     def bed_operator(self):
         """Static-bed parts of :func:`_bed_operator`.  Built once, they can
         afford numpy's slow ``zp**3``; a moving bed's per-stage build uses
         ``zp * zp * zp``, which may differ in the last bit."""
-        return _bed_operator(self.zp, self.zbx_ring, self.dx, self.boundary,
-                             self.zp**3)
+        return _bed_operator(self.zp, self.static_slope(), self.dx,
+                             self.boundary, self.zp**3)
 
     def fields(self, state):
         """The :class:`_Fields` of ``state``, built once per state object."""
@@ -203,7 +228,7 @@ class _RunContext:
                     etap=zp + Hp, bed_rate=float(self.motion.rate(t)),
                     bed_accel=float(self.motion.accel(t)), grad_pa=grad_pa)
         if self.static:
-            f.zbx_ring = self.zbx_ring  # in place of the cached property
+            f.static_slope = self.static_slope
         return f
 
 
@@ -518,7 +543,8 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     of ``F`` and reports ``c`` in ``DispersiveSystem.friction`` for implicit
     treatment.  ``debug`` turns on diagonal-dominance and residual checking
     in the linear algebra.  ``context`` is the run's :class:`_RunContext`
-    (one is built when absent).
+    (one is built when absent; one built from other ``bathy``, ``params``
+    or ``grid`` raises ``ValueError``).
 
     Returns
     -------
@@ -526,7 +552,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     """
     from .solver import BandedMatrix
 
-    context = context or _RunContext(bathy, params, grid)
+    context = _RunContext.of(context, bathy, params, grid)
     f = context.fields(state)
     H, u = f.H, f.u
     kappa_ring = _ring_kappa(f, params, tier)

@@ -203,8 +203,11 @@ def stable_dt(state, params, grid, controls, *, context=None):
     Returns ``controls.fixed_dt`` verbatim when set; otherwise the CFL bound
     on the gravity-wave speed over wet cells.  Raises ``ValueError`` when
     every cell is dry (no wave speed to bound).  ``context`` is the run's
-    ``models._RunContext``; the velocity then comes from its field bundle.
+    ``models._RunContext`` (built from these ``params`` and ``grid``); the
+    velocity then comes from its field bundle.
     """
+    if context is not None:
+        _RunContext.of(context, context.bathy, params, grid)
     if controls.fixed_dt is not None:
         return controls.fixed_dt
     wet = state.H >= DRY_THRESHOLD
@@ -249,9 +252,10 @@ def step(state, bathy, params, grid, tier, dt, *, stats=None, sources=None,
     Mass is updated in flux form in both stages, so the average conserves it
     exactly on periodic and walled domains (up to positivity clamping of
     draining cells, which is counted in ``stats['positivity_clamps']``).
-    ``context`` is the run's ``models._RunContext`` (built when absent).
+    ``context`` is the run's ``models._RunContext`` (built when absent; one
+    built from other ``bathy``, ``params`` or ``grid`` raises ``ValueError``).
     """
-    context = context or _RunContext(bathy, params, grid)
+    context = _RunContext.of(context, bathy, params, grid)
     kw = dict(stats=stats, sources=sources, first_order=first_order,
               debug=debug, context=context)
     u0 = context.fields(state).u

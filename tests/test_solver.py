@@ -388,15 +388,52 @@ def test_run_matches_hand_loop_of_public_functions(tier, boundary, bed):
                     for r in result.reports])
     want = np.array([[getattr(r, k) for k in REPORT_FIELDS] for r in reports])
     final = result.states[-1]
-    if bed == "moving":
+    if bed == "moving":  # 1e-13 of each column's largest value
         for a, b in ((final.H, s.H), (final.q, s.q), (got, want)):
-            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-13 * np.nanmax(
-                np.abs(b)))
+            atol = 1e-13 * np.nanmax(np.abs(b), axis=0)
+            assert np.all((np.abs(a - b) <= atol) | np.isnan(b))
             assert np.array_equal(np.isnan(a), np.isnan(b))
     else:
         np.testing.assert_array_equal(final.H, s.H)
         np.testing.assert_array_equal(final.q, s.q)
         np.testing.assert_array_equal(got, want)
+
+
+def test_context_from_other_objects_is_refused():
+    """A run context stands in for the bed, boundary and parameters it was
+    built from, so a public function handed one built from other objects
+    raises instead of computing with stale fields."""
+    from swdisp.diagnostics import energy_extended, energy_hydro
+    from swdisp.models import _RunContext, assemble_dispersive
+
+    grid = Grid(0.0, 10.0, 16, Boundary.PERIODIC)
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.3, level=-1.0))
+    params = PhysicalParams(nu=1e-3, k_l=1e-2)
+    s = lake_at_rest(grid, bathy, eta0=0.01)
+    tier = ModelTier.NONHYDRO1
+    context = _RunContext(bathy, params, grid)
+    others = (dict(bathy=BathymetryField(GaussianBump(
+                  center=5.0, width=1.0, amplitude=0.3, level=-1.0))),
+              dict(params=PhysicalParams(nu=1e-3, k_l=1e-2)),
+              dict(grid=Grid(0.0, 10.0, 16, Boundary.PERIODIC)))
+    for other in others:
+        b, p, g = (other.get(k, v) for k, v in
+                   (("bathy", bathy), ("params", params), ("grid", grid)))
+        calls = [lambda: step(s, b, p, g, tier, 1e-3, context=context),
+                 lambda: assemble_dispersive(s, b, p, g, tier,
+                                             context=context),
+                 lambda: energy_hydro(s, b, p, g, context=context),
+                 lambda: energy_extended(s, b, p, g, tier, context=context)]
+        if "bathy" not in other:
+            calls.append(lambda: stable_dt(s, p, g, StepControls(t_end=1.0),
+                                           context=context))
+        for call in calls:
+            with pytest.raises(ValueError, match="context was built from"):
+                call()
+    # the objects it was built from are accepted
+    step(s, bathy, params, grid, tier, 1e-3, context=context)
+    stable_dt(s, params, grid, StepControls(t_end=1.0), context=context)
 
 
 def test_peregrine_reports_price_no_friction_or_viscosity():

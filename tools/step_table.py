@@ -6,7 +6,7 @@ periodic boundaries, nu = 1e-3, k_l = 1e-2) for each tier at n = 256, 1024
 and 8192, with energy reports on.  A report costs the time spent inside
 the public energy functions, which the script times by wrapping them, and a
 step costs the rest of the run's wall time; both are given per step.  Each
-figure is the lowest of ``--blocks`` medians of ``--repeats`` runs, because
+figure is the lowest of ``BLOCKS`` medians of ``REPEATS`` runs, because
 the CPU speed of a shared host drifts.
 
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json
@@ -21,21 +21,21 @@ import argparse
 import json
 import platform
 import statistics
-import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-import swdisp
 import swdisp.diagnostics
 from swdisp.core import (BathymetryField, Boundary, FlowState, GaussianBump,
                          Grid, PhysicalParams)
+from swdisp.io import _build_tag
 from swdisp.models import ModelTier
 from swdisp.solver import StepControls, run_simulation
 
 STEPS = {256: 200, 1024: 100, 8192: 25}  # steps per timed run
+BLOCKS, REPEATS = 3, 5  # lowest of BLOCKS medians of REPEATS runs each
 
 
 def _scenario(n):
@@ -61,8 +61,8 @@ def _timed(fn, spent):
     return wrapper
 
 
-def _per_step(tier, n, repeats):
-    """Medians of (step, report) seconds per step over ``repeats`` runs."""
+def _per_step(tier, n):
+    """Medians of (step, report) seconds per step over ``REPEATS`` runs."""
     grid, bathy, state, params, controls = _scenario(n)
     spent = [0.0]
     names = ("energy_hydro", "energy_extended")
@@ -71,7 +71,7 @@ def _per_step(tier, n, repeats):
     try:
         for name, fn in zip(names, saved):
             setattr(swdisp.diagnostics, name, _timed(fn, spent))
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             spent[0] = 0.0
             start = time.perf_counter()
             result = run_simulation(state, bathy, params, grid, tier, controls)
@@ -85,35 +85,23 @@ def _per_step(tier, n, repeats):
     return statistics.median(steps), statistics.median(reports)
 
 
-def measure(blocks, repeats):
-    """``{tier: {n: (step_us, report_us)}}``, lowest of ``blocks`` medians."""
+def measure():
+    """``{tier: {n: (step_us, report_us)}}``, lowest of ``BLOCKS`` medians."""
     table = {}
     for tier in ModelTier:
         for n in STEPS:
-            medians = [_per_step(tier, n, repeats) for _ in range(blocks)]
+            medians = [_per_step(tier, n) for _ in range(BLOCKS)]
             table.setdefault(tier.value, {})[n] = tuple(
                 round(min(column) * 1e6) for column in zip(*medians))
     return table
 
 
-def _commit():
-    try:
-        proc = subprocess.run(["git", "describe", "--always", "--dirty"],
-                              cwd=Path(swdisp.__file__).parent,
-                              capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--blocks", type=int, default=3)
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", help="JSON file to write")
     args = parser.parse_args(argv)
 
-    table = measure(args.blocks, args.repeats)
+    table = measure()
     tiers = list(table)
     print("| n    | " + " | ".join(tiers) + " |")
     print("|------|" + "|".join("-" * (len(t) + 2) for t in tiers) + "|")
@@ -126,8 +114,8 @@ def main(argv=None):
             "unit": "us per step / us per report",
             "table": {t: {str(n): list(v) for n, v in row.items()}
                       for t, row in table.items()},
-            "blocks": args.blocks, "repeats": args.repeats,
-            "commit": _commit(), "python": platform.python_version(),
+            "blocks": BLOCKS, "repeats": REPEATS,
+            "commit": _build_tag(), "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__,
             "machine": platform.machine(),
         }
