@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -44,6 +45,14 @@ _TIER_NAMES = tuple(t.value for t in ModelTier)
 # run
 # ---------------------------------------------------------------------------
 
+def _from_flag(flag, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ``ValueError`` reported for ``flag``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{flag}: {err}") from None
+
+
 def _apply_overrides(cfg, args):
     """Fold command-line overrides into the config and re-validate."""
     notes = []
@@ -51,12 +60,12 @@ def _apply_overrides(cfg, args):
         cfg = dataclasses.replace(cfg, tier=ModelTier(args.tier))
         notes.append(f"tier -> {args.tier}")
     if args.cells is not None:
-        cfg = dataclasses.replace(
-            cfg, grid=dataclasses.replace(cfg.grid, n_cells=args.cells))
+        cfg = dataclasses.replace(cfg, grid=_from_flag(
+            "--cells", dataclasses.replace, cfg.grid, n_cells=args.cells))
         notes.append(f"cells -> {args.cells}")
     if args.t_end is not None:
-        cfg = dataclasses.replace(
-            cfg, controls=dataclasses.replace(cfg.controls, t_end=args.t_end))
+        cfg = dataclasses.replace(cfg, controls=_from_flag(
+            "--t-end", dataclasses.replace, cfg.controls, t_end=args.t_end))
         notes.append(f"t_end -> {args.t_end}")
     if args.debug_first_order:
         cfg = dataclasses.replace(
@@ -152,8 +161,8 @@ def _measure_speed(tier, h0, k, grid, g=9.81):
 
 def cmd_dispersion(args) -> int:
     tier = ModelTier(args.tier)
-    if args.h0 <= 0.0:
-        raise ConfigError(f"--h0: still depth must be positive, got {args.h0}")
+    if not 0.0 < args.h0 < math.inf:
+        raise ConfigError(f"--h0: need a finite positive depth, got {args.h0}")
     try:
         ks = [float(tok) for tok in args.k_values.split(",") if tok.strip()]
     except ValueError:
@@ -168,7 +177,8 @@ def cmd_dispersion(args) -> int:
 
     # one periodic box sized to the longest requested wavelength
     k_min = min(ks)
-    grid = Grid(0.0, 2.0 * math.pi / k_min, args.cells, Boundary.PERIODIC)
+    grid = _from_flag("--cells", Grid, 0.0, 2.0 * math.pi / k_min, args.cells,
+                      Boundary.PERIODIC)
 
     rows = []
     for k in ks:
@@ -207,7 +217,7 @@ def cmd_dispersion(args) -> int:
 # converge
 # ---------------------------------------------------------------------------
 
-def _lake_at_rest_error(n_cells, first_order):
+def _lake_at_rest_error(n_cells, *, t_end=None, first_order=False):
     from .core import GaussianBump
     grid = Grid(0.0, 10.0, n_cells, Boundary.PERIODIC)
     bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
@@ -216,7 +226,8 @@ def _lake_at_rest_error(n_cells, first_order):
     x = grid.cell_centers
     H = -bathy.elevation(x, 0.0)
     state = FlowState(t=0.0, H=H, q=np.zeros_like(H))
-    controls = StepControls(t_end=0.1, cfl=0.45, first_order=first_order)
+    controls = StepControls(t_end=0.1 if t_end is None else t_end, cfl=0.45,
+                            first_order=first_order)
     result = run_simulation(state, bathy, params, grid,
                             ModelTier.HYDROSTATIC, controls,
                             collect_reports=False)
@@ -225,7 +236,7 @@ def _lake_at_rest_error(n_cells, first_order):
     return grid.dx, float(np.max(np.abs(final.velocity())) + eta_err)
 
 
-def _linear_wave_error(n_cells, first_order):
+def _linear_wave_error(n_cells, *, t_end=None, first_order=False):
     h0, k, amplitude, g = 1.0, 1.0, 1e-6, 9.81
     c = _analytic_speed(ModelTier.NONHYDRO1, h0, k, g)
     grid = Grid(0.0, 2.0 * math.pi / k, n_cells, Boundary.PERIODIC)
@@ -236,7 +247,8 @@ def _linear_wave_error(n_cells, first_order):
     bathy = BathymetryField(FlatBed(level=-h0))
     params = PhysicalParams(g=g, nu=0.0, k_l=0.0, k_t=0.0)
 
-    t_end = 2.0 * math.pi / (c * k)  # one period
+    if t_end is None:
+        t_end = 2.0 * math.pi / (c * k)  # one period
     steps = max(1, math.ceil(t_end / (0.4 * grid.dx / math.sqrt(g * h0))))
     controls = StepControls(t_end=t_end, fixed_dt=t_end / steps,
                             first_order=first_order)
@@ -272,23 +284,22 @@ def cmd_converge(args) -> int:
                               f"got {args.grids!r}") from None
     if len(resolutions) < 2:
         raise ConfigError("--grids: need at least two resolutions")
+    for n in resolutions:
+        _from_flag("--grids", Grid, 0.0, 1.0, n)
+    t_end = args.t_end
+    if t_end is not None and not 0.0 < t_end < math.inf:
+        raise ConfigError("--t-end: the horizon must be finite and positive")
 
-    first_order = args.debug_first_order
     if scenario.startswith("manufactured-"):
         from .manufactured import get_case, run_convergence_point
-        case = get_case(scenario)
-
-        def run_case(n):
-            return run_convergence_point(case, n, t_end=args.t_end,
-                                         first_order=first_order)
+        error = functools.partial(run_convergence_point, get_case(scenario))
     elif scenario == "lake-at-rest":
-        def run_case(n):
-            return _lake_at_rest_error(n, first_order)
+        error = _lake_at_rest_error
     else:
-        def run_case(n):
-            return _linear_wave_error(n, first_order)
-
-    rows = convergence_study(run_case, resolutions)
+        error = _linear_wave_error
+    rows = convergence_study(
+        lambda n: error(n, t_end=t_end, first_order=args.debug_first_order),
+        resolutions)
     print(f"{'n_cells':>8} {'dx':>12} {'error':>14} {'order':>8}")
     for row in rows:
         order = "-" if math.isnan(row.order) else f"{row.order:8.3f}"

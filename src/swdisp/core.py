@@ -113,9 +113,9 @@ class FlowState:
         if np.any(self.H < 0):
             raise ValueError("water height must be non-negative everywhere")
 
-    def velocity(self, dry_threshold: float = DRY_THRESHOLD) -> np.ndarray:
-        """Depth-averaged velocity, zero on cells thinner than the threshold."""
-        wet = self.H >= dry_threshold
+    def velocity(self) -> np.ndarray:
+        """Depth-averaged velocity; zero on cells below ``DRY_THRESHOLD``."""
+        wet = self.H >= DRY_THRESHOLD
         u = np.zeros_like(self.H)
         np.divide(self.q, self.H, out=u, where=wet)
         return u
@@ -297,10 +297,6 @@ class BathymetryField:
 
     def accel(self, x: np.ndarray, t: float) -> np.ndarray:
         return np.full_like(np.asarray(x, dtype=float), self.motion.accel(t))
-
-    @property
-    def is_static(self) -> bool:
-        return isinstance(self.motion, StaticBed)
 
 
 # ---------------------------------------------------------------------------

@@ -570,7 +570,7 @@ def _derived_columns(state, bathy, params, grid, tier, fields, *,
     x, t, dx, bc = f.x, f.t, f.dx, grid.boundary
     H, u, zb, eta = f.H, f.u, f.zb, f.eta
     zbx = bathy.slope(x, t)
-    zbt = bathy.rate(x, t)
+    zbt = f.bed_rate
     dudx = _interior(f.ux_ring)
 
     out = {}
@@ -597,7 +597,7 @@ def _derived_columns(state, bathy, params, grid, tier, fields, *,
             out["p_bottom"] = closures.pressure_nonhydrostatic(
                 zb, tier=tier, params=params, eta=eta, z_b=zb, u_bar=u,
                 du_dx=dudx, a=a, da_dx=dadx, dzb_dx=zbx, dzb_dt=zbt,
-                d2zb_dt2=bathy.accel(x, t), deta_dt=detadt, deta_dx=detadx,
+                d2zb_dt2=f.bed_accel, deta_dt=detadt, deta_dx=detadx,
                 d2u_dx2=d2u, d2zbu_dx2=d2zbu, p_a=p_a)
     return out
 

@@ -14,9 +14,10 @@ tridiagonal.  ``A`` is built from its stencil diagonals so the
 linear-algebra layer can apply boundary folding and solve it.
 
 A run keeps what it does not change in one private :class:`_RunContext`:
-the grid, a static bed and, as NonHydro1's and PeregrineInviscid's ``A``
-apart from ``H a`` depends on the bed alone, those bed parts of ``A``.  It
-also hands out one field bundle (:class:`_Fields`) per state.
+the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
+curvature, and the bed part of NonHydro1's and PeregrineInviscid's ``A``
+for the last ``b``.  It hands out one field bundle (:class:`_Fields`) per
+state.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
@@ -27,12 +28,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .closures import effective_friction, friction_kappa
-from .core import DRY_THRESHOLD, Boundary, GradientPressure, ZeroPressure
+from .core import DRY_THRESHOLD, Boundary
 
 __all__ = [
     "ModelTier",
@@ -103,11 +104,10 @@ class _Fields:
     """Fields of one state read by the core, assembly, friction and reports.
 
     ``Hp``, ``up``, ``zp``, ``etap`` carry ``NGHOST`` ghost cells per side.
-    ``eta`` and the ``*_ring`` centered first derivatives (width-1 ring) are
-    computed on first use, as not every path reads them; a static bed's
-    slope comes from the run context's shared ``static_slope``.
-    ``bed_rate`` and ``bed_accel`` are ``db/dt`` and ``d^2b/dt^2`` of the
-    separable bed; ``grad_pa`` is the atmospheric-pressure gradient.
+    ``eta``, ``ux_ring`` and ``Hx_ring`` (centered, width-1 ring) are
+    computed on first use; the bed's ring slope and curvature are the run's.
+    ``bed_offset``, ``bed_rate`` and ``bed_accel`` are ``b``, ``db/dt`` and
+    ``d^2b/dt^2``; ``grad_pa`` is the atmospheric-pressure gradient.
     """
 
     t: float
@@ -121,11 +121,13 @@ class _Fields:
     up: np.ndarray
     zp: np.ndarray
     etap: np.ndarray
+    zbx_ring: np.ndarray
+    zbxx_ring: np.ndarray
+    bed_offset: float
     bed_rate: float
     bed_accel: float
     grad_pa: np.ndarray
     kappa_ring: np.ndarray = None  # set by _ring_kappa
-    static_slope: object = None  # _RunContext.static_slope, static beds only
 
     @cached_property
     def eta(self):
@@ -134,12 +136,6 @@ class _Fields:
     @cached_property
     def ux_ring(self):
         return _centered_difference(self.up, self.dx)
-
-    @cached_property
-    def zbx_ring(self):
-        if self.static_slope is not None:
-            return self.static_slope()
-        return _centered_difference(self.zp, self.dx)
 
     @cached_property
     def Hx_ring(self):
@@ -151,32 +147,24 @@ class _RunContext:
 
     Built once per run by :func:`swdisp.solver.run_simulation`, and per
     call by a public function that gets none (see :meth:`of`): the cell
-    centres, the padded profile ``Z_b`` (a moving bed adds ``b(t)`` per
-    state), a static bed's ``zp`` and, on first use, its ``zbx_ring`` and a
-    steady pressure gradient.  :meth:`fields` returns the last bundle again
-    for the same state object, so a state must not be mutated after its
-    fields were taken.  Bundles hold no reference back to the context: a
-    context built per call is then freed at once, not by the cyclic garbage
-    collector.
+    centres and the padded profile ``Z_b`` with its ring slope and
+    curvature, which ``z_b = Z_b + b(t)`` shares at every time.
+    :meth:`fields` returns the last bundle again for the same state object,
+    so a state must not be mutated after its fields were taken, and
+    :meth:`bed_operator` the last operator again for the same ``b``.
+    Bundles hold no reference back to the context: a context built per
+    call is then freed at once, not by the cyclic garbage collector.
     """
 
     def __init__(self, bathy, params, grid):
         self.bathy, self.params, self.grid = bathy, params, grid
-        self.motion = bathy.motion
-        self.p_atm = params.p_atm
         self.boundary = grid.boundary
         self.x = grid.cell_centers
         self.dx = grid.dx
         self.Zp = _pad(bathy.profile.value(self.x), self.boundary)
-        self.static = bathy.is_static
-        if self.static:
-            self.zp = zp = self.Zp + self.motion.value(0.0)
-            dx = self.dx
-            # a closure over the bed, not a bound method: bundles keep it
-            self.static_slope = cache(lambda: _centered_difference(zp, dx))
-        self.steady_pressure = isinstance(self.p_atm,
-                                          (ZeroPressure, GradientPressure))
-        self._last = (None, None)
+        self.zbx_ring = _centered_difference(self.Zp, self.dx)
+        self.zbxx_ring = _cell_curvature(self.Zp, self.dx)
+        self._last = self._operator = (None, None)
 
     @classmethod
     def of(cls, context, bathy, params, grid):
@@ -195,19 +183,6 @@ class _RunContext:
                              "params or grid")
         return context
 
-    @cached_property
-    def grad_pa(self):
-        """Gradient of a steady (zero or uniform-gradient) pressure field."""
-        return self.p_atm.grad_x(self.x, 0.0)
-
-    @cached_property
-    def bed_operator(self):
-        """Static-bed parts of :func:`_bed_operator`.  Built once, they can
-        afford numpy's slow ``zp**3``; a moving bed's per-stage build uses
-        ``zp * zp * zp``, which may differ in the last bit."""
-        return _bed_operator(self.zp, self.static_slope(), self.dx,
-                             self.boundary, self.zp**3)
-
     def fields(self, state):
         """The :class:`_Fields` of ``state``, built once per state object."""
         last, f = self._last
@@ -216,20 +191,27 @@ class _RunContext:
             self._last = (state, f)
         return f
 
+    def bed_operator(self, f):
+        """:func:`_bed_operator` of the bed in ``f``, built once per ``b``."""
+        b, parts = self._operator
+        if f.bed_offset != b:
+            parts = _bed_operator(f.zp, self.zbx_ring, self.dx, self.boundary)
+            self._operator = (f.bed_offset, parts)
+        return parts
+
     def _build(self, state):
-        t, bc = state.t, self.boundary
-        zp = self.zp if self.static else self.Zp + self.motion.value(t)
-        grad_pa = (self.grad_pa if self.steady_pressure
-                   else self.p_atm.grad_x(self.x, t))
+        t, bc, motion = state.t, self.boundary, self.bathy.motion
+        b = motion.value(t)
+        zp = self.Zp + b
         u = state.velocity()
         Hp = _pad(state.H, bc, 1.0)
-        f = _Fields(t=t, x=self.x, dx=self.dx, H=state.H, q=state.q, u=u,
-                    zb=zp[NGHOST:-NGHOST], Hp=Hp, up=_pad(u, bc, -1.0), zp=zp,
-                    etap=zp + Hp, bed_rate=float(self.motion.rate(t)),
-                    bed_accel=float(self.motion.accel(t)), grad_pa=grad_pa)
-        if self.static:
-            f.static_slope = self.static_slope
-        return f
+        return _Fields(t=t, x=self.x, dx=self.dx, H=state.H, q=state.q, u=u,
+                       zb=zp[NGHOST:-NGHOST], Hp=Hp, up=_pad(u, bc, -1.0),
+                       zp=zp, etap=zp + Hp, zbx_ring=self.zbx_ring,
+                       zbxx_ring=self.zbxx_ring, bed_offset=b,
+                       bed_rate=float(motion.rate(t)),
+                       bed_accel=float(motion.accel(t)),
+                       grad_pa=self.params.p_atm.grad_x(self.x, t))
 
 
 def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
@@ -499,7 +481,7 @@ def _operator_parts(zc, coeff1_cells, coeff2_cells, slope_c1, slope_c2, zbx,
     return sub1, X, Y, sup1
 
 
-def _bed_operator(zp, zbx_ring, dx, boundary, zp_cubed):
+def _bed_operator(zp, zbx_ring, dx, boundary):
     """Operator parts of NonHydro1 and PeregrineInviscid, which depend on
     the bed alone:
 
@@ -508,7 +490,7 @@ def _bed_operator(zp, zbx_ring, dx, boundary, zp_cubed):
     """
     z_ring = zp[1:-1]
     zb = _interior(z_ring)
-    return _operator_parts(z_ring, -_interior(zp_cubed) / 6.0,
+    return _operator_parts(z_ring, -(z_ring * z_ring * z_ring) / 6.0,
                            z_ring**2 / 2.0, zb**2 / 2.0, -zb,
                            _interior(zbx_ring), dx, boundary)
 
@@ -621,11 +603,8 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, *, first_order,
         sub, X, Y, sup = _operator_parts(z_ring, coeff1[ring], coeff2[ring],
                                          H**2 / 2.0 - f.eta * H, H, zbx, dx,
                                          boundary)
-    elif context.static:
-        sub, X, Y, sup = context.bed_operator
     else:
-        sub, X, Y, sup = _bed_operator(zp, zbx_ring, dx, boundary,
-                                       zp * zp * zp)
+        sub, X, Y, sup = context.bed_operator(f)
     stencils = {-1: sub, 0: H - X - Y, 1: sup}
 
     # ---- explicit dispersive forcings ------------------------------------
@@ -688,14 +667,13 @@ def _nh2_stationary_extras(f, kappa_ring, params):
     u_ring = f.up[1:-1]
     s_ring, Hx_ring, zbx_ring = f.ux_ring, f.Hx_ring, f.zbx_ring
     uxx_ring = _cell_curvature(f.up, dx)
-    zbxx_ring = _cell_curvature(f.zp, dx)
 
     depth_avg = (H_ring / 6.0) * (
         -4.0 * H_ring**2 * s_ring**2
         - 2.0 * H_ring**2 * u_ring * uxx_ring
         - 6.0 * H_ring * Hx_ring * s_ring * u_ring
         + 9.0 * H_ring * zbx_ring * s_ring * u_ring
-        + 3.0 * H_ring * zbxx_ring * u_ring**2
+        + 3.0 * H_ring * f.zbxx_ring * u_ring**2
         + 6.0 * zbx_ring * Hx_ring * u_ring**2)
     depth_avg_x = _centered_difference(depth_avg, dx)
     if kappa_ring is not None and params.nu > 0.0:

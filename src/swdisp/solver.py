@@ -189,11 +189,11 @@ class StepControls:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be non-negative")
-        if self.dt_max <= 0.0:
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and non-negative")
+        if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
+        if self.fixed_dt is not None and not self.fixed_dt > 0.0:
             raise ValueError("fixed_dt must be positive")
 
 

@@ -296,6 +296,51 @@ def test_converge_unknown_scenario_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("run --cells 4", "--cells"),
+    ("run --t-end -1", "--t-end"),
+    ("run --t-end nan", "--t-end"),
+    ("run --t-end inf", "--t-end"),
+    ("dispersion --cells 4", "--cells"),
+    ("dispersion --h0 nan", "--h0"),
+    ("converge --scenario lake-at-rest --grids 4,8", "--grids"),
+    ("converge --scenario lake-at-rest --t-end 0", "--t-end"),
+    ("converge --scenario manufactured-hydrostatic --t-end -1", "--t-end"),
+])
+def test_bad_flag_is_a_config_error_naming_it(tmp_path, capsys, command,
+                                              flag):
+    """A flag value the run cannot use stops before any run with exit 2
+    and the flag's name, not as a solver failure."""
+    argv = command.split()
+    if argv[0] == "run":
+        argv = argv[:1] + ["--config", _write(tmp_path, LAKE)] + argv[1:]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: {flag}: ")
+
+
+@pytest.mark.parametrize("scenario", ["lake-at-rest", "linear-wave-nonhydro1"])
+def test_converge_honours_t_end(monkeypatch, capsys, scenario):
+    """Both errors are defined at any horizon, so ``--t-end`` sets the end
+    time of every run of the study."""
+    import swdisp.cli
+
+    horizons = []
+
+    def recording(state, bathy, params, grid, tier, controls, **kwargs):
+        horizons.append(controls.t_end)
+        return original(state, bathy, params, grid, tier, controls, **kwargs)
+
+    original = swdisp.cli.run_simulation
+    monkeypatch.setattr(swdisp.cli, "run_simulation", recording)
+    rc = main(["converge", "--scenario", scenario, "--grids", "16,32",
+               "--t-end", "0.03"])
+    capsys.readouterr()
+    assert rc in (0, 1)
+    assert horizons == [0.03, 0.03]
+
+
 # ---------------------------------------------------------------------------
 # steady-check
 

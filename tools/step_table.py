@@ -3,13 +3,16 @@
 Runs the benchmark geometry (domain [0, 20], Gaussian bed bump of amplitude
 0.3 on level -1, a surface hump of amplitude 0.05 released from rest,
 periodic boundaries, nu = 1e-3, k_l = 1e-2) for each tier at n = 256, 1024
-and 8192, with energy reports on.  A report costs the time spent inside
-the public energy functions, which the script times by wrapping them, and a
-step costs the rest of the run's wall time; both are given per step.  Each
-figure is the lowest of ``BLOCKS`` medians of ``REPEATS`` runs, because
-the CPU speed of a shared host drifts.
+and 8192, and at n = 8192 on a bed moving as ``b(t) = 0.01 sin(2 t)``
+("8192 sinusoidal"), with energy reports on.  A report costs the time spent
+inside the public energy functions, which the script times by wrapping
+them, and a step costs the rest of the run's wall time; both are given per
+step.  Each figure is the lowest of ``BLOCKS`` medians of ``REPEATS`` runs,
+because the CPU speed of a shared host drifts.
 
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json
+
+(``PYTHONPATH`` pointing at another checkout's ``src`` measures that one.)
 
 prints the table (µs, step / report) and writes it as JSON with the Python,
 numpy and scipy versions and the commit of the swdisp source that ran.
@@ -29,19 +32,23 @@ import scipy
 
 import swdisp.diagnostics
 from swdisp.core import (BathymetryField, Boundary, FlowState, GaussianBump,
-                         Grid, PhysicalParams)
+                         Grid, PhysicalParams, SinusoidMotion, StaticBed)
 from swdisp.io import _build_tag
 from swdisp.models import ModelTier
 from swdisp.solver import StepControls, run_simulation
 
 STEPS = {256: 200, 1024: 100, 8192: 25}  # steps per timed run
+# table rows: (label, n, bed motion)
+ROWS = [(str(n), n, StaticBed()) for n in STEPS] + [
+    ("8192 sinusoidal", 8192, SinusoidMotion(amplitude=0.01,
+                                             angular_frequency=2.0))]
 BLOCKS, REPEATS = 3, 5  # lowest of BLOCKS medians of REPEATS runs each
 
 
-def _scenario(n):
+def _scenario(n, motion):
     grid = Grid(0.0, 20.0, n, Boundary.PERIODIC)
     bathy = BathymetryField(GaussianBump(center=10.0, width=1.5,
-                                         amplitude=0.3, level=-1.0))
+                                         amplitude=0.3, level=-1.0), motion)
     x = grid.cell_centers
     H = 0.05 * np.exp(-0.5 * ((x - 6.5) / 0.8) ** 2) - bathy.elevation(x, 0.0)
     state = FlowState(t=0.0, H=H, q=np.zeros(n))
@@ -61,9 +68,9 @@ def _timed(fn, spent):
     return wrapper
 
 
-def _per_step(tier, n):
+def _per_step(tier, n, motion):
     """Medians of (step, report) seconds per step over ``REPEATS`` runs."""
-    grid, bathy, state, params, controls = _scenario(n)
+    grid, bathy, state, params, controls = _scenario(n, motion)
     spent = [0.0]
     names = ("energy_hydro", "energy_extended")
     saved = [getattr(swdisp.diagnostics, name) for name in names]
@@ -86,12 +93,13 @@ def _per_step(tier, n):
 
 
 def measure():
-    """``{tier: {n: (step_us, report_us)}}``, lowest of ``BLOCKS`` medians."""
+    """``{tier: {label: (step_us, report_us)}}``, lowest of ``BLOCKS``
+    medians."""
     table = {}
     for tier in ModelTier:
-        for n in STEPS:
-            medians = [_per_step(tier, n) for _ in range(BLOCKS)]
-            table.setdefault(tier.value, {})[n] = tuple(
+        for label, n, motion in ROWS:
+            medians = [_per_step(tier, n, motion) for _ in range(BLOCKS)]
+            table.setdefault(tier.value, {})[label] = tuple(
                 round(min(column) * 1e6) for column in zip(*medians))
     return table
 
@@ -103,16 +111,18 @@ def main(argv=None):
 
     table = measure()
     tiers = list(table)
-    print("| n    | " + " | ".join(tiers) + " |")
-    print("|------|" + "|".join("-" * (len(t) + 2) for t in tiers) + "|")
-    for n in STEPS:
-        cells = [f"{table[t][n][0]} / {table[t][n][1]}".ljust(len(t))
+    width = max(len(label) for label, _, _ in ROWS)
+    print(f"| {'n':<{width}} | " + " | ".join(tiers) + " |")
+    print(f"|{'-' * (width + 2)}|"
+          + "|".join("-" * (len(t) + 2) for t in tiers) + "|")
+    for label, _, _ in ROWS:
+        cells = [f"{table[t][label][0]} / {table[t][label][1]}".ljust(len(t))
                  for t in tiers]
-        print(f"| {n:<4} | " + " | ".join(cells) + " |")
+        print(f"| {label:<{width}} | " + " | ".join(cells) + " |")
     if args.out:
         record = {
             "unit": "us per step / us per report",
-            "table": {t: {str(n): list(v) for n, v in row.items()}
+            "table": {t: {label: list(v) for label, v in row.items()}
                       for t, row in table.items()},
             "blocks": BLOCKS, "repeats": REPEATS,
             "commit": _build_tag(), "python": platform.python_version(),
