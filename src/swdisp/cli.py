@@ -171,9 +171,9 @@ def cmd_dispersion(args) -> int:
     if not ks:
         raise ConfigError("--k-values: empty wavenumber list")
     for k in ks:
-        if k <= 0.0:
+        if not 0.0 < k < math.inf:
             raise ConfigError(f"--k-values: k = {k:g} is degenerate "
-                              f"(wavenumber must be positive)")
+                              f"(wavenumber must be finite and positive)")
 
     # one periodic box sized to the longest requested wavelength
     k_min = min(ks)
@@ -285,7 +285,7 @@ def cmd_converge(args) -> int:
     if len(resolutions) < 2:
         raise ConfigError("--grids: need at least two resolutions")
     for n in resolutions:
-        _from_flag("--grids", Grid, 0.0, 1.0, n)
+        _from_flag("--grids", Grid, 0.0, 1.0, n)  # the grid's own size rule
     t_end = args.t_end
     if t_end is not None and not 0.0 < t_end < math.inf:
         raise ConfigError("--t-end: the horizon must be finite and positive")

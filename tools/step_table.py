@@ -12,10 +12,9 @@ because the CPU speed of a shared host drifts.
 
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json
 
-(``PYTHONPATH`` pointing at another checkout's ``src`` measures that one.)
-
 prints the table (µs, step / report) and writes it as JSON with the Python,
-numpy and scipy versions and the commit of the swdisp source that ran.
+numpy and scipy versions and the commit of the swdisp source that ran; a
+``PYTHONPATH`` naming another checkout's ``src`` measures that checkout.
 """
 
 from __future__ import annotations
