@@ -284,6 +284,9 @@ def cmd_converge(args) -> int:
                               f"got {args.grids!r}") from None
     if len(resolutions) < 2:
         raise ConfigError("--grids: need at least two resolutions")
+    if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
+        raise ConfigError(f"--grids: cell counts must strictly increase, "
+                          f"got {args.grids!r}")
     for n in resolutions:
         _from_flag("--grids", Grid, 0.0, 1.0, n)  # the grid's own size rule
     t_end = args.t_end

@@ -110,7 +110,7 @@ class FlowState:
         if self.H.shape != self.q.shape or self.H.ndim != 1:
             raise ValueError(
                 f"H and q must be 1-d arrays of equal length, got {self.H.shape} and {self.q.shape}")
-        if np.any(self.H < 0):
+        if (self.H < 0).any():
             raise ValueError("water height must be non-negative everywhere")
 
     def velocity(self) -> np.ndarray:

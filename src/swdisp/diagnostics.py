@@ -76,21 +76,20 @@ def _energy_hydro(f, params, tier, kappa_ring):
     x, t, dx, H, u = f.x, f.t, f.dx, f.H, f.u
     p_a = params.p_atm.value(x, t)
 
-    E_h = float(np.sum(H * u**2 / 2 + params.g * H * (f.eta + f.zb) / 2
-                       + H * p_a) * dx)
-    mass = float(np.sum(H) * dx)
-    momentum = float(np.sum(f.q) * dx)
+    E_h = float((H * u**2 / 2 + params.g * H * (f.eta + f.zb) / 2
+                 + H * p_a).sum() * dx)
+    mass = float(H.sum() * dx)
+    momentum = float(f.q.sum() * dx)
 
-    rate = -float(np.sum(H * params.p_atm.rate_t(x, t)) * dx)
+    rate = -float((H * params.p_atm.rate_t(x, t)).sum() * dx)
     if params.nu > 0.0 and tier is not ModelTier.PEREGRINE_INVISCID:
         dudx = _interior(f.ux_ring)
-        rate -= float(np.sum(4.0 * params.nu * H * dudx**2) * dx)
+        rate -= float((4.0 * params.nu * H * dudx**2).sum() * dx)
     if kappa_ring is not None:
-        coeff = _friction_coefficient(f, kappa_ring, params,
-                                      ModelTier.HYDROSTATIC)
-        rate -= float(np.sum(coeff * u**2) * dx)
+        coeff = _friction_coefficient(f, kappa_ring, params)
+        rate -= float((coeff * u**2).sum() * dx)
     if f.bed_rate != 0.0:
-        rate += float(np.sum(params.g * H * f.bed_rate) * dx)
+        rate += float((params.g * H * f.bed_rate).sum() * dx)
 
     return EnergyReport(t=t, mass=mass, momentum=momentum, E_h=E_h, E_ext=E_h,
                         modeled_rate=rate)
@@ -109,12 +108,12 @@ def energy_extended(state, bathy, params, grid, tier, *, context=None):
 
     wsq = depth_integrated_w_squared(H, f.eta, f.zb, u, _interior(f.ux_ring),
                                      _interior(f.zbx_ring), f.bed_rate)
-    extra = float(np.sum(0.5 * wsq) * f.dx)
+    extra = float((0.5 * wsq).sum() * f.dx)
     if (tier is ModelTier.NONHYDRO2 and params.nu > 0.0
             and kappa_ring is not None):
         kappa = _interior(kappa_ring)
         modified = 2.0 * kappa**2 * H**3 / (15.0 * params.nu**2)
-        extra += float(np.sum(modified * u**2 / 2) * f.dx)
+        extra += float((modified * u**2 / 2).sum() * f.dx)
 
     report.E_ext = report.E_h + extra
     return report

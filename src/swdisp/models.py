@@ -15,9 +15,10 @@ linear-algebra layer can apply boundary folding and solve it.
 
 A run keeps what it does not change in one private :class:`_RunContext`:
 the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
-curvature, and the bed part of NonHydro1's and PeregrineInviscid's ``A``
-for the last ``b``.  It hands out one field bundle (:class:`_Fields`) per
-state.
+curvature, the dispersive friction's bed factor, and the bed part of
+NonHydro1's and PeregrineInviscid's ``A`` for the last ``b``.  It hands out
+one field bundle (:class:`_Fields`) per state, which carries the state's
+wet mask and, once computed, its wall-law kappa and friction coefficient.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
@@ -108,6 +109,8 @@ class _Fields:
     computed on first use; the bed's ring slope and curvature are the run's.
     ``bed_offset``, ``bed_rate`` and ``bed_accel`` are ``b``, ``db/dt`` and
     ``d^2b/dt^2``; ``grad_pa`` is the atmospheric-pressure gradient.
+    ``wet`` is ``H >= DRY_THRESHOLD``; ``kappa_ring`` and ``friction``
+    (``kappa_eff``) are set on first use by their functions.
     """
 
     t: float
@@ -127,7 +130,10 @@ class _Fields:
     bed_rate: float
     bed_accel: float
     grad_pa: np.ndarray
+    wet: np.ndarray
+    all_wet: bool
     kappa_ring: np.ndarray = None  # set by _ring_kappa
+    friction: np.ndarray = None  # set by _friction_coefficient
 
     @cached_property
     def eta(self):
@@ -148,7 +154,8 @@ class _RunContext:
     Built once per run by :func:`swdisp.solver.run_simulation`, and per
     call by a public function that gets none (see :meth:`of`): the cell
     centres and the padded profile ``Z_b`` with its ring slope and
-    curvature, which ``z_b = Z_b + b(t)`` shares at every time.
+    curvature, which ``z_b = Z_b + b(t)`` shares at every time, and on
+    first use the dispersive friction's bed factor ``1 + 5/2 (dz_b/dx)^2``.
     :meth:`fields` returns the last bundle again for the same state object,
     so a state must not be mutated after its fields were taken, and
     :meth:`bed_operator` the last operator again for the same ``b``.
@@ -191,11 +198,23 @@ class _RunContext:
             self._last = (state, f)
         return f
 
+    @cached_property
+    def friction_bed_factor(self):
+        """NonHydro1/NonHydro2 factor ``1 + 5/2 (dz_b/dx)^2`` of kappa_eff."""
+        return 1.0 + 2.5 * _interior(self.zbx_ring)**2
+
     def bed_operator(self, f):
-        """:func:`_bed_operator` of the bed in ``f``, built once per ``b``."""
+        """:func:`_bed_operator` of the bed in ``f``, built once per ``b``,
+        and the ``BandedMatrix`` of ``(sub, sup)`` with a zero diagonal."""
+        from .solver import BandedMatrix
+
         b, parts = self._operator
         if f.bed_offset != b:
-            parts = _bed_operator(f.zp, self.zbx_ring, self.dx, self.boundary)
+            sub, X, Y, sup = _bed_operator(f.zp, self.zbx_ring, self.dx,
+                                           self.boundary)
+            bands = BandedMatrix.from_stencils({-1: sub, 1: sup},
+                                               self.boundary)
+            parts = (sub, X, Y, sup, bands)
             self._operator = (f.bed_offset, parts)
         return parts
 
@@ -205,13 +224,15 @@ class _RunContext:
         zp = self.Zp + b
         u = state.velocity()
         Hp = _pad(state.H, bc, 1.0)
+        wet = state.H >= DRY_THRESHOLD
         return _Fields(t=t, x=self.x, dx=self.dx, H=state.H, q=state.q, u=u,
                        zb=zp[NGHOST:-NGHOST], Hp=Hp, up=_pad(u, bc, -1.0),
                        zp=zp, etap=zp + Hp, zbx_ring=self.zbx_ring,
                        zbxx_ring=self.zbxx_ring, bed_offset=b,
                        bed_rate=float(motion.rate(t)),
                        bed_accel=float(motion.accel(t)),
-                       grad_pa=self.params.p_atm.grad_x(self.x, t))
+                       grad_pa=self.params.p_atm.grad_x(self.x, t),
+                       wet=wet, all_wet=bool(wet.all()))
 
 
 def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
@@ -265,7 +286,7 @@ def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
     Hs_R_raw = eta_R - z_face
     Hs_L = np.maximum(Hs_L_raw, 0.0)
     Hs_R = np.maximum(Hs_R_raw, 0.0)
-    if stats is not None:
+    if stats is not None and (Hs_L_raw.min() < 0.0 or Hs_R_raw.min() < 0.0):
         clamped = int(np.count_nonzero(Hs_L_raw < 0.0)
                       + np.count_nonzero(Hs_R_raw < 0.0))
         if clamped:
@@ -273,17 +294,18 @@ def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
 
     qs_L = Hs_L * u_L
     qs_R = Hs_R * u_R
-    lam = np.maximum(np.abs(u_L) + np.sqrt(g * Hs_L),
-                     np.abs(u_R) + np.sqrt(g * Hs_R))
+    half_lam = 0.5 * np.maximum(np.abs(u_L) + np.sqrt(g * Hs_L),
+                                np.abs(u_R) + np.sqrt(g * Hs_R))
 
-    flux_H = 0.5 * (qs_L + qs_R) - 0.5 * lam * (Hs_R - Hs_L)
+    flux_H = 0.5 * (qs_L + qs_R) - half_lam * (Hs_R - Hs_L)
     if include_pressure:
-        flux_q = (0.5 * (qs_L * u_L + 0.5 * g * Hs_L**2
-                         + qs_R * u_R + 0.5 * g * Hs_R**2)
-                  - 0.5 * lam * (qs_R - qs_L))
+        Hs_L2, Hs_R2 = Hs_L**2, Hs_R**2
+        flux_q = (0.5 * (qs_L * u_L + 0.5 * g * Hs_L2
+                         + qs_R * u_R + 0.5 * g * Hs_R2)
+                  - half_lam * (qs_R - qs_L))
     else:
         flux_q = (0.5 * (qs_L * u_L + qs_R * u_R)
-                  - 0.5 * lam * (qs_R - qs_L))
+                  - half_lam * (qs_R - qs_L))
 
     dHdt = -(flux_H[1:] - flux_H[:-1]) / dx
 
@@ -294,8 +316,8 @@ def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
     z_own_right = z_right_in[1:-1]
 
     if include_pressure:
-        flux_q_right = flux_q[1:] + 0.5 * g * (H_own_right**2 - Hs_L[1:]**2)
-        flux_q_left = flux_q[:-1] + 0.5 * g * (H_own_left**2 - Hs_R[:-1]**2)
+        flux_q_right = flux_q[1:] + 0.5 * g * (H_own_right**2 - Hs_L2[1:])
+        flux_q_left = flux_q[:-1] + 0.5 * g * (H_own_left**2 - Hs_R2[:-1])
         bed_source = (-g * 0.5 * (H_own_left + H_own_right)
                       * (z_own_right - z_own_left) / dx)
         dqdt = -(flux_q_right - flux_q_left) / dx + bed_source
@@ -339,12 +361,11 @@ def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
     if not inviscid and params.nu > 0.0:
         dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, params.nu)
 
-    if np.any(f.grad_pa):
+    if f.grad_pa.any():
         dqdt = dqdt - f.H * f.grad_pa
 
     if kappa_ring is not None:
-        dqdt = dqdt - _friction_coefficient(
-            f, kappa_ring, params, ModelTier.HYDROSTATIC) * f.u
+        dqdt = dqdt - _friction_coefficient(f, kappa_ring, params) * f.u
     return dHdt, dqdt
 
 
@@ -393,19 +414,20 @@ def _ring_kappa(f, params, tier=None):
     return f.kappa_ring
 
 
-def _friction_coefficient(f, kappa_ring, params, tier):
+def _friction_coefficient(f, kappa_ring, params, context=None, tier=None):
     """Pointwise damping coefficient from :func:`_ring_kappa` (zeros for
-    ``None``)."""
+    ``None``): ``kappa_eff``, kept on the bundle, times ``context``'s bed
+    factor for NonHydro1 and NonHydro2."""
     if kappa_ring is None:
         return np.zeros(f.H.size)
-    H = f.H
-    wet = H >= DRY_THRESHOLD
-    coeff = np.where(wet, effective_friction(_interior(kappa_ring),
-                                             np.maximum(H, DRY_THRESHOLD),
-                                             params.nu), 0.0)
+    if f.friction is None:
+        kappa, H = _interior(kappa_ring), f.H
+        f.friction = (effective_friction(kappa, H, params.nu) if f.all_wet
+                      else np.where(f.wet, effective_friction(
+                          kappa, np.maximum(H, DRY_THRESHOLD), params.nu), 0.0))
     if tier in (ModelTier.NONHYDRO1, ModelTier.NONHYDRO2):
-        coeff = coeff * (1.0 + 2.5 * _interior(f.zbx_ring)**2)
-    return coeff
+        return f.friction * context.friction_bed_factor
+    return f.friction
 
 
 def pointwise_friction_coefficient(state, bathy, params, grid, tier):
@@ -414,8 +436,10 @@ def pointwise_friction_coefficient(state, bathy, params, grid, tier):
     Hydrostatic: ``kappa_eff``.  Dispersive viscous tiers additionally carry
     the bed-slope enhancement ``(1 + 5/2 (dz_b/dx)^2)``.  Inviscid tier: 0.
     """
-    f = _RunContext(bathy, params, grid).fields(state)
-    return _friction_coefficient(f, _ring_kappa(f, params, tier), params, tier)
+    context = _RunContext(bathy, params, grid)
+    f = context.fields(state)
+    return _friction_coefficient(f, _ring_kappa(f, params, tier), params,
+                                 context, tier)
 
 
 @dataclass
@@ -435,8 +459,10 @@ class DispersiveSystem:
     dHdt : ndarray
         Mass tendency of the advective core (flux form).
     friction : ndarray
-        Pointwise damping coefficient for implicit treatment by the
-        integrator (zero when it was already folded into ``F``).
+        Pointwise damping coefficient ``c`` of ``-c u_bar``, zero on dry
+        cells (also set when it was folded into ``F``).  The integrator
+        treats it implicitly and skips its divisor when ``c`` is all zero.
+        It may be an array the run keeps for the state: do not modify it.
     """
 
     A: "object"
@@ -495,11 +521,11 @@ def _bed_operator(zp, zbx_ring, dx, boundary):
                            _interior(zbx_ring), dx, boundary)
 
 
-def _dry_guard(stencils, H):
+def _dry_guard(stencils, f):
     """Decouple dry cells: identity row so the solve returns ``a = F = 0``."""
-    dry = H < DRY_THRESHOLD
-    if not dry.any():
+    if f.all_wet:
         return stencils
+    dry = ~f.wet
     out = {}
     for k, arr in stencils.items():
         arr = arr.copy()
@@ -547,23 +573,28 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
         stencils, F, dHdt = _dispersive_terms(
             f, context, params, tier, kappa_ring,
             first_order=first_order, stats=stats, sources=sources)
-    A = BandedMatrix.from_stencils(_dry_guard(stencils, H), grid.boundary)
+    if f.all_wet and tier in (ModelTier.NONHYDRO1,
+                              ModelTier.PEREGRINE_INVISCID):
+        bed = context.bed_operator(f)[4]  # only the diagonal row changes
+        A = BandedMatrix(bed.bands.copy(), bed.corners)
+        A.bands[1] += stencils[0]
+    else:
+        A = BandedMatrix.from_stencils(_dry_guard(stencils, f), grid.boundary)
 
     if debug:  # row sums of |A| in O(n)
         magnitude = BandedMatrix(np.abs(A.bands), tuple(map(abs, A.corners)))
         diag = magnitude.bands[1]
         offdiag = magnitude.matvec(np.ones(A.n)) - diag
-        if np.any(diag < offdiag - 1e-12 * diag):
+        if (diag < offdiag - 1e-12 * diag).any():
             raise AssertionError("inertia operator lost diagonal dominance")
 
     # ---- pointwise friction ----------------------------------------------
-    fric = _friction_coefficient(f, kappa_ring, params, tier)
-    if include_pointwise_friction and np.any(fric):
+    fric = _friction_coefficient(f, kappa_ring, params, context, tier)
+    if include_pointwise_friction and fric.any():
         F = F - fric * u
 
-    wet = H >= DRY_THRESHOLD
-    if not wet.all():
-        F = np.where(wet, F, 0.0)
+    if not f.all_wet:
+        F = np.where(f.wet, F, 0.0)
 
     return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
 
@@ -592,7 +623,7 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, *, first_order,
     s = _interior(s_ring)
     zbx = _interior(zbx_ring)
     kappa = None if kappa_ring is None else _interior(kappa_ring)
-    friction = kappa is not None and np.any(kappa)
+    friction = kappa is not None and kappa.any()
 
     # ---- operator stencils ----------------------------------------------
     if tier is ModelTier.NONHYDRO2:
@@ -604,7 +635,7 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, *, first_order,
                                          H**2 / 2.0 - f.eta * H, H, zbx, dx,
                                          boundary)
     else:
-        sub, X, Y, sup = context.bed_operator(f)
+        sub, X, Y, sup, _ = context.bed_operator(f)
     stencils = {-1: sub, 0: H - X - Y, 1: sup}
 
     # ---- explicit dispersive forcings ------------------------------------

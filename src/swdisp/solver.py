@@ -210,11 +210,14 @@ def stable_dt(state, params, grid, controls, *, context=None):
         _RunContext.of(context, context.bathy, params, grid)
     if controls.fixed_dt is not None:
         return controls.fixed_dt
-    wet = state.H >= DRY_THRESHOLD
-    if not np.any(wet):
+    f = None if context is None else context.fields(state)
+    wet = state.H >= DRY_THRESHOLD if f is None else f.wet
+    if not wet.any():
         raise ValueError("cannot size a time step: all cells are dry")
-    u = state.velocity() if context is None else context.fields(state).u
-    speed = np.max(np.abs(u[wet]) + np.sqrt(params.g * state.H[wet]))
+    u, H = (state.velocity(), state.H) if f is None else (f.u, f.H)
+    if f is None or not f.all_wet:
+        u, H = u[wet], H[wet]
+    speed = (np.abs(u) + np.sqrt(params.g * H)).max()
     return min(controls.dt_max, controls.cfl * grid.dx / speed)
 
 
@@ -222,9 +225,7 @@ def _stage(state, bathy, params, grid, tier, dt, *, stats, sources,
            first_order, debug, context):
     """One explicit-flux / implicit-friction Euler stage."""
     H0 = state.H
-    u0 = context.fields(state).u
-    wet0 = H0 >= DRY_THRESHOLD
-    H_safe = np.where(wet0, H0, 1.0)
+    f = context.fields(state)
 
     system = assemble_dispersive(
         state, bathy, params, grid, tier,
@@ -234,13 +235,17 @@ def _stage(state, bathy, params, grid, tier, dt, *, stats, sources,
 
     H1 = H0 + dt * system.dHdt
     negative = H1 < 0.0
-    if np.any(negative):
+    if negative.any():
         if stats is not None:
             stats["positivity_clamps"] = (stats.get("positivity_clamps", 0)
                                           + int(np.count_nonzero(negative)))
         H1 = np.where(negative, 0.0, H1)
 
-    u1 = (u0 + dt * a) / (1.0 + dt * np.where(wet0, system.friction / H_safe, 0.0))
+    u1 = f.u + dt * a
+    if system.friction.any():  # else the implicit divisor is exactly 1
+        # the friction is zero on dry cells, so any nonzero depth stands in
+        H_safe = H0 if f.all_wet else np.where(f.wet, H0, 1.0)
+        u1 = u1 / (1.0 + dt * (system.friction / H_safe))
     u1 = np.where(H1 >= DRY_THRESHOLD, u1, 0.0)
     return FlowState(t=state.t + dt, H=H1, q=H1 * u1)
 

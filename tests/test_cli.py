@@ -305,6 +305,8 @@ def test_converge_unknown_scenario_exits_2(tmp_path, capsys):
     ("dispersion --h0 nan", "--h0"),
     ("dispersion --k-values inf", "--k-values"),
     ("converge --scenario lake-at-rest --grids 4,8", "--grids"),
+    ("converge --scenario lake-at-rest --grids 16,16", "--grids"),
+    ("converge --scenario lake-at-rest --grids 32,16", "--grids"),
     ("converge --scenario lake-at-rest --t-end 0", "--t-end"),
     ("converge --scenario manufactured-hydrostatic --t-end -1", "--t-end"),
 ])

@@ -347,3 +347,92 @@ def test_inviscid_tier_ignores_wall_law_friction():
         state, bathy, PhysicalParams(nu=0.0, k_l=0.0, k_t=0.0), grid, tier)
     assert not np.any(rough.friction)
     np.testing.assert_array_equal(rough.F, smooth.F)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_dry_cells_are_decoupled(tier, boundary):
+    """An island that breaks the surface leaves dry cells: each gets an
+    identity row in ``A`` and no coupling from its wet neighbours, and
+    ``F`` and the friction coefficient vanish there, so the solve returns
+    ``a = 0`` on them."""
+    from swdisp.core import DRY_THRESHOLD
+
+    grid = Grid(0.0, 10.0, 48, boundary)
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=1.05, level=-1.0))
+    x = grid.cell_centers
+    H = np.maximum(0.0, 0.02 * np.sin(x) - bathy.elevation(x, 0.0))
+    state = FlowState(t=0.0, H=H, q=H * 0.1 * np.cos(0.5 * x))
+    params = PhysicalParams(g=G, nu=1e-3, k_l=0.01, k_t=0.05,
+                            p_atm=GradientPressure(0.01))
+    dry = np.flatnonzero(H < DRY_THRESHOLD)
+    assert 0 < dry.size < grid.n_cells // 2
+    system = assemble_dispersive(state, bathy, params, grid, tier)
+    A = system.A.todense()
+    for i in dry:
+        row = np.zeros(grid.n_cells)
+        row[i] = 1.0
+        np.testing.assert_array_equal(A[i], row)
+        np.testing.assert_array_equal(A[:, i], row)
+    assert np.all(system.F[dry] == 0.0)
+    assert np.all(system.friction[dry] == 0.0)
+    assert np.any(system.F != 0.0)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("tier", [ModelTier.NONHYDRO1,
+                                  ModelTier.PEREGRINE_INVISCID])
+def test_wet_operator_equals_assembly_from_its_stencils(tier, boundary):
+    """On a wet state the NonHydro1/PeregrineInviscid operator reuses the
+    run's off-diagonal band rows: its bands and corners must equal, bit
+    for bit, ``BandedMatrix.from_stencils`` of the same stencils, also for
+    a second state assembled with the same context."""
+    from swdisp.models import _bed_operator, _RunContext
+    from swdisp.solver import BandedMatrix
+
+    grid = Grid(0.0, 10.0, 40, boundary)
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.3, level=-1.0))
+    params = PhysicalParams(g=G, nu=1e-3, k_l=0.01)
+    context = _RunContext(bathy, params, grid)
+    rng = np.random.default_rng(21)
+    for _ in range(2):
+        state = smooth_random_state(grid, bathy, rng, eta_amp=0.05)
+        f = context.fields(state)
+        sub, X, Y, sup = _bed_operator(f.zp, context.zbx_ring, grid.dx,
+                                       boundary)
+        want = BandedMatrix.from_stencils({-1: sub, 0: f.H - X - Y, 1: sup},
+                                          boundary)
+        got = assemble_dispersive(state, bathy, params, grid, tier,
+                                  context=context).A
+        np.testing.assert_array_equal(got.bands, want.bands)
+        assert got.corners == want.corners
+        assert bool(got.corners) == (boundary is Boundary.PERIODIC)
+
+
+def test_friction_coefficient_carries_bed_factor_of_viscous_dispersive_tiers():
+    """``kappa_eff`` is shared by the tiers; NonHydro1 and NonHydro2 scale
+    it by ``1 + 5/2 (dz_b/dx)^2`` and PeregrineInviscid has none.  The
+    assembled system reports the same coefficient."""
+    from swdisp.models import pointwise_friction_coefficient
+
+    grid = Grid(0.0, 10.0, 40, Boundary.PERIODIC)
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.3, level=-1.0))
+    params = PhysicalParams(g=G, nu=1e-3, k_l=0.01, k_t=0.05)
+    state = smooth_random_state(grid, bathy, np.random.default_rng(23))
+    zb = bathy.elevation(grid.cell_centers, 0.0)
+    zbx = (np.roll(zb, -1) - np.roll(zb, 1)) / (2.0 * grid.dx)
+    hydro = pointwise_friction_coefficient(state, bathy, params, grid,
+                                           ModelTier.HYDROSTATIC)
+    assert np.all(hydro > 0.0)
+    for tier, factor in ((ModelTier.HYDROSTATIC, 1.0),
+                         (ModelTier.NONHYDRO1, 1.0 + 2.5 * zbx**2),
+                         (ModelTier.NONHYDRO2, 1.0 + 2.5 * zbx**2),
+                         (ModelTier.PEREGRINE_INVISCID, 0.0)):
+        coeff = pointwise_friction_coefficient(state, bathy, params, grid,
+                                               tier)
+        np.testing.assert_allclose(coeff, hydro * factor, rtol=1e-14, atol=0)
+        system = assemble_dispersive(state, bathy, params, grid, tier)
+        np.testing.assert_array_equal(system.friction, coeff)

@@ -362,6 +362,37 @@ def test_moving_bed_run_builds_bed_operator_once_per_step(tier, monkeypatch):
     assert counts["bed_operator"] <= n_steps + 1
 
 
+@pytest.mark.parametrize("tier", [ModelTier.NONHYDRO1,
+                                  ModelTier.PEREGRINE_INVISCID])
+def test_wet_run_assembles_no_bands_and_friction_once_per_state(tier,
+                                                                monkeypatch):
+    """On a wet static bed the NonHydro1/PeregrineInviscid band rows are
+    run constants, built by ``from_stencils`` once in the first step, and
+    the friction coefficient is evaluated at most once per state: a run
+    of N steps with reports makes at most 2 N + 1 evaluations."""
+    import swdisp.models
+
+    grid, bathy, state, params = _bump_run_setup()
+    counts = {"from_stencils": 0, "effective_friction": 0}
+    monkeypatch.setattr(BandedMatrix, "from_stencils", classmethod(_counting(
+        counts, "from_stencils", BandedMatrix.from_stencils.__func__)))
+    monkeypatch.setattr(swdisp.models, "effective_friction", _counting(
+        counts, "effective_friction", swdisp.models.effective_friction))
+    seen = []
+    for n_steps in (1, 5, 20):
+        counts.update(from_stencils=0, effective_friction=0)
+        result = run_simulation(state, bathy, params, grid, tier,
+                                StepControls(t_end=n_steps * 1e-3,
+                                             fixed_dt=1e-3))
+        assert result.stats["steps"] == n_steps
+        assert len(result.reports) == n_steps + 1
+        assert counts["effective_friction"] <= 2 * n_steps + 1
+        assert ((counts["effective_friction"] > 0)
+                == (tier is ModelTier.NONHYDRO1))
+        seen.append(counts["from_stencils"])
+    assert seen == [1, 1, 1]
+
+
 REPORT_FIELDS = ("t", "mass", "momentum", "E_h", "E_ext", "modeled_rate",
                  "dissipation_rate", "budget_residual")
 
