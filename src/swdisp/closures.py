@@ -34,7 +34,8 @@ def friction_kappa(u_bar, dzb_dx, H, params: PhysicalParams):
     velocity through the laminar profile reduction,
     ``|v_b| = |u_bar| sqrt(1 + (dz_b/dx)^2) / (1 + k_l H / (3 nu))``;
     only the laminar coefficient enters the reduction.  A dry column
-    (``H = 0``) returns ``k_l``.
+    (``H = 0``) returns ``k_l``, and so does every column when ``k_t = 0``
+    (the estimate is then not computed).
     """
     k_l, k_t, nu = params.k_l, params.k_t, params.nu
     u_bar = np.asarray(u_bar, dtype=float)
@@ -42,6 +43,8 @@ def friction_kappa(u_bar, dzb_dx, H, params: PhysicalParams):
     dzb_dx = np.asarray(dzb_dx, dtype=float)
     if k_l > 0 and k_t > 0 and nu <= 0:
         raise ValueError("friction closure requires nu > 0")
+    if k_t == 0:
+        return np.full(np.broadcast(u_bar, dzb_dx, H).shape, float(k_l))
     reduction = 1.0 + (k_l * H / (3.0 * nu) if k_l > 0 else 0.0)
     v_b = np.abs(u_bar) * np.sqrt(1.0 + dzb_dx**2) / reduction
     return k_l + k_t * H * v_b

@@ -9,7 +9,8 @@ depth-integrated viscous dissipation, bed-friction dissipation (neither for
 the inviscid tier), and the work done by a moving bottom.  The extended
 energy adds the vertical kinetic energy of the tier's vertical-velocity
 closure (and the modified-height kinetic correction of the fully nonlinear
-tier).
+tier).  :func:`energy_reports` computes the reports of a block of states at
+once, on 2-D arrays with one row per state.
 
 Phase speeds are measured by projecting the free surface onto a single
 Fourier mode and fitting the phase drift over time.
@@ -30,6 +31,7 @@ __all__ = [
     "EnergyReport",
     "energy_hydro",
     "energy_extended",
+    "energy_reports",
     "attach_measured_rates",
     "measure_dispersion",
     "ConvergenceRow",
@@ -60,63 +62,79 @@ class EnergyReport:
 
 
 def energy_hydro(state, bathy, params, grid, *, context=None):
-    """Hydrostatic energy report (E_ext coincides with E_h here).
+    """Hydrostatic energy report (E_ext coincides with E_h here): the
+    :func:`energy_reports` of ``state`` alone.
 
     ``context`` is the run's ``models._RunContext`` (built when absent; one
     built from other ``bathy``, ``params`` or ``grid`` raises ``ValueError``).
     """
-    f = _RunContext.of(context, bathy, params, grid).fields(state)
-    return _energy_hydro(f, params, ModelTier.HYDROSTATIC,
-                         _ring_kappa(f, params))
-
-
-def _energy_hydro(f, params, tier, kappa_ring):
-    """:func:`energy_hydro` from a state's fields and its wall-law kappa;
-    the inviscid tier's budget carries no viscous dissipation."""
-    x, t, dx, H, u = f.x, f.t, f.dx, f.H, f.u
-    p_a = params.p_atm.value(x, t)
-
-    E_h = float((H * u**2 / 2 + params.g * H * (f.eta + f.zb) / 2
-                 + H * p_a).sum() * dx)
-    mass = float(H.sum() * dx)
-    momentum = float(f.q.sum() * dx)
-
-    rate = -float((H * params.p_atm.rate_t(x, t)).sum() * dx)
-    if params.nu > 0.0 and tier is not ModelTier.PEREGRINE_INVISCID:
-        dudx = _interior(f.ux_ring)
-        rate -= float((4.0 * params.nu * H * dudx**2).sum() * dx)
-    if kappa_ring is not None:
-        coeff = _friction_coefficient(f, kappa_ring, params)
-        rate -= float((coeff * u**2).sum() * dx)
-    if f.bed_rate != 0.0:
-        rate += float((params.g * H * f.bed_rate).sum() * dx)
-
-    return EnergyReport(t=t, mass=mass, momentum=momentum, E_h=E_h, E_ext=E_h,
-                        modeled_rate=rate)
+    return energy_reports([state], bathy, params, grid,
+                          ModelTier.HYDROSTATIC, context=context)[0]
 
 
 def energy_extended(state, bathy, params, grid, tier, *, context=None):
-    """Energy report including the tier's vertical kinetic energy
-    (``context`` as for :func:`energy_hydro`)."""
+    """Energy report including the tier's vertical kinetic energy: the
+    :func:`energy_reports` of ``state`` alone (``context`` as for
+    :func:`energy_hydro`)."""
     if tier is ModelTier.HYDROSTATIC:
         raise ValueError("the hydrostatic tier has no extended energy; "
                          "use energy_hydro")
-    f = _RunContext.of(context, bathy, params, grid).fields(state)
+    return energy_reports([state], bathy, params, grid, tier,
+                          context=context)[0]
+
+
+def energy_reports(states, bathy, params, grid, tier, *, context=None):
+    """One :class:`EnergyReport` per state, computed for the block at once
+    on 2-D fields with one row per state; every integral is a row sum, so
+    each report equals that of its state alone.  The hydrostatic tier
+    reports ``E_ext = E_h``; the inviscid tier's budget carries no viscous
+    or friction dissipation.  ``context`` as for :func:`energy_hydro`."""
+    states = list(states)
+    if not states:
+        return []
+    context = _RunContext.of(context, bathy, params, grid)
+    f = context.block(states)
+    x, dx, H, u = f.x, f.dx, f.H, f.u
     kappa_ring = _ring_kappa(f, params, tier)
-    report = _energy_hydro(f, params, tier, kappa_ring)
-    H, u = f.H, f.u
 
-    wsq = depth_integrated_w_squared(H, f.eta, f.zb, u, _interior(f.ux_ring),
-                                     _interior(f.zbx_ring), f.bed_rate)
-    extra = float((0.5 * wsq).sum() * f.dx)
-    if (tier is ModelTier.NONHYDRO2 and params.nu > 0.0
-            and kappa_ring is not None):
-        kappa = _interior(kappa_ring)
-        modified = 2.0 * kappa**2 * H**3 / (15.0 * params.nu**2)
-        extra += float((modified * u**2 / 2).sum() * f.dx)
+    E_h = H * u**2 / 2 + params.g * H * (f.eta + f.zb) / 2
+    if context.zero_pressure:  # no H p_a energy; -(H * 0).sum() is -0.0
+        rate = np.full(len(states), -0.0)
+    else:
+        p_a, p_t = np.empty_like(H), np.empty_like(H)
+        for row, s in enumerate(states):
+            p_a[row] = params.p_atm.value(x, s.t)
+            p_t[row] = params.p_atm.rate_t(x, s.t)
+        E_h = E_h + H * p_a
+        rate = -((H * p_t).sum(axis=-1) * dx)
+    E_h = E_h.sum(axis=-1) * dx
 
-    report.E_ext = report.E_h + extra
-    return report
+    dudx = _interior(f.ux_ring)
+    if params.nu > 0.0 and tier is not ModelTier.PEREGRINE_INVISCID:
+        rate = rate - (4.0 * params.nu * H * dudx**2).sum(axis=-1) * dx
+    if kappa_ring is not None:
+        coeff = _friction_coefficient(f, kappa_ring, params)
+        rate = rate - (coeff * u**2).sum(axis=-1) * dx
+    # a bed at rest does no work (adding its 0.0 would turn -0.0 into 0.0)
+    work = (params.g * H * f.bed_rate).sum(axis=-1) * dx
+    rate = np.where(f.bed_rate[:, 0] != 0.0, rate + work, rate)
+
+    E_ext = E_h
+    if tier is not ModelTier.HYDROSTATIC:
+        wsq = depth_integrated_w_squared(H, f.eta, f.zb, u, dudx,
+                                         _interior(f.zbx_ring), f.bed_rate)
+        extra = (0.5 * wsq).sum(axis=-1) * dx
+        if (tier is ModelTier.NONHYDRO2 and params.nu > 0.0
+                and kappa_ring is not None):
+            kappa = _interior(kappa_ring)
+            modified = 2.0 * kappa**2 * H**3 / (15.0 * params.nu**2)
+            extra = extra + (modified * u**2 / 2).sum(axis=-1) * dx
+        E_ext = E_h + extra
+
+    # mass, momentum, E_h, E_ext, modeled_rate of each state
+    columns = (H.sum(axis=-1) * dx, f.q.sum(axis=-1) * dx, E_h, E_ext, rate)
+    return [EnergyReport(s.t, *row) for s, row in
+            zip(states, zip(*(c.tolist() for c in columns)))]
 
 
 def attach_measured_rates(reports):

@@ -18,7 +18,9 @@ the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
 curvature, the dispersive friction's bed factor, and the bed part of
 NonHydro1's and PeregrineInviscid's ``A`` for the last ``b``.  It hands out
 one field bundle (:class:`_Fields`) per state, which carries the state's
-wet mask and, once computed, its wall-law kappa and friction coefficient.
+wet mask and, once computed, its wall-law kappa and friction coefficient,
+and for the energy reports one bundle per block of states, with one row
+per state.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
@@ -34,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .closures import effective_friction, friction_kappa
-from .core import DRY_THRESHOLD, Boundary
+from .core import DRY_THRESHOLD, Boundary, ZeroPressure
 
 __all__ = [
     "ModelTier",
@@ -64,19 +66,20 @@ def _pad(values, boundary, parity=1.0):
 
     Periodic wraps; wall mirrors about the boundary face (``parity=-1``
     negates, for velocity-like quantities); copy repeats the edge value.
+    A 2-D array is padded along its last axis, one row per state.
     """
     v = np.asarray(values, dtype=float)
-    out = np.empty(v.size + 2 * NGHOST)
-    out[NGHOST:-NGHOST] = v
+    out = np.empty(v.shape[:-1] + (v.shape[-1] + 2 * NGHOST,))
+    out[..., NGHOST:-NGHOST] = v
     if boundary is Boundary.PERIODIC:
-        out[:NGHOST] = v[-NGHOST:]
-        out[-NGHOST:] = v[:NGHOST]
+        out[..., :NGHOST] = v[..., -NGHOST:]
+        out[..., -NGHOST:] = v[..., :NGHOST]
     elif boundary is Boundary.WALL:
-        out[:NGHOST] = parity * v[NGHOST - 1 :: -1]
-        out[-NGHOST:] = parity * v[: -NGHOST - 1 : -1]
+        out[..., :NGHOST] = parity * v[..., NGHOST - 1 :: -1]
+        out[..., -NGHOST:] = parity * v[..., : -NGHOST - 1 : -1]
     else:  # Boundary.COPY
-        out[:NGHOST] = v[0]
-        out[-NGHOST:] = v[-1]
+        out[..., :NGHOST] = v[..., :1]
+        out[..., -NGHOST:] = v[..., -1:]
     return out
 
 
@@ -85,9 +88,9 @@ def _centered_difference(values, dx):
 
     The output has two entries fewer than the input: a padded array
     (``n + 2 * NGHOST`` entries) gives its width-1 ring (cells ``-1 .. n``),
-    and a ring array gives the ``n`` real cells.
+    and a ring array gives the ``n`` real cells.  Taken along the last axis.
     """
-    return (values[2:] - values[:-2]) / (2.0 * dx)
+    return (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
 
 
 def _cell_curvature(padded, dx):
@@ -96,8 +99,8 @@ def _cell_curvature(padded, dx):
 
 
 def _interior(cellwise):
-    """Real-cell slice of a width-1-ring array."""
-    return cellwise[1:-1]
+    """Real-cell slice of a width-1-ring array (along the last axis)."""
+    return cellwise[..., 1:-1]
 
 
 @dataclass
@@ -108,9 +111,11 @@ class _Fields:
     ``eta``, ``ux_ring`` and ``Hx_ring`` (centered, width-1 ring) are
     computed on first use; the bed's ring slope and curvature are the run's.
     ``bed_offset``, ``bed_rate`` and ``bed_accel`` are ``b``, ``db/dt`` and
-    ``d^2b/dt^2``; ``grad_pa`` is the atmospheric-pressure gradient.
-    ``wet`` is ``H >= DRY_THRESHOLD``; ``kappa_ring`` and ``friction``
-    (``kappa_eff``) are set on first use by their functions.
+    ``d^2b/dt^2``; ``grad_pa`` is the atmospheric-pressure gradient (None
+    without atmospheric pressure).  ``wet`` is ``H >= DRY_THRESHOLD``;
+    ``kappa_ring`` and ``friction`` (``kappa_eff``) are set on first use by
+    their functions.  A block bundle (:meth:`_RunContext.block`) holds one
+    row per state, its times and bed values as columns.
     """
 
     t: float
@@ -129,9 +134,9 @@ class _Fields:
     bed_offset: float
     bed_rate: float
     bed_accel: float
-    grad_pa: np.ndarray
     wet: np.ndarray
     all_wet: bool
+    grad_pa: np.ndarray = None  # set by _RunContext.fields
     kappa_ring: np.ndarray = None  # set by _ring_kappa
     friction: np.ndarray = None  # set by _friction_coefficient
 
@@ -154,8 +159,9 @@ class _RunContext:
     Built once per run by :func:`swdisp.solver.run_simulation`, and per
     call by a public function that gets none (see :meth:`of`): the cell
     centres and the padded profile ``Z_b`` with its ring slope and
-    curvature, which ``z_b = Z_b + b(t)`` shares at every time, and on
-    first use the dispersive friction's bed factor ``1 + 5/2 (dz_b/dx)^2``.
+    curvature, which ``z_b = Z_b + b(t)`` shares at every time, whether the
+    atmospheric pressure is a ``ZeroPressure``, and on first use the
+    dispersive friction's bed factor ``1 + 5/2 (dz_b/dx)^2``.
     :meth:`fields` returns the last bundle again for the same state object,
     so a state must not be mutated after its fields were taken, and
     :meth:`bed_operator` the last operator again for the same ``b``.
@@ -168,6 +174,7 @@ class _RunContext:
         self.boundary = grid.boundary
         self.x = grid.cell_centers
         self.dx = grid.dx
+        self.zero_pressure = isinstance(params.p_atm, ZeroPressure)
         self.Zp = _pad(bathy.profile.value(self.x), self.boundary)
         self.zbx_ring = _centered_difference(self.Zp, self.dx)
         self.zbxx_ring = _cell_curvature(self.Zp, self.dx)
@@ -194,9 +201,24 @@ class _RunContext:
         """The :class:`_Fields` of ``state``, built once per state object."""
         last, f = self._last
         if state is not last:
-            f = self._build(state)
+            f = self._build(state.t, state.H, state.q, *self._bed(state.t))
+            if not self.zero_pressure:
+                f.grad_pa = self.params.p_atm.grad_x(self.x, state.t)
             self._last = (state, f)
         return f
+
+    def block(self, states):
+        """One bundle of ``states``, not kept and with no ``grad_pa``: one
+        row per state, ``t`` and the bed values as columns."""
+        t = np.array([s.t for s in states])[:, None]
+        bed = np.array([self._bed(s.t) for s in states]).T[..., None]
+        return self._build(t, np.array([s.H for s in states]),
+                           np.array([s.q for s in states]), *bed)
+
+    def _bed(self, t):
+        """``b``, ``db/dt`` and ``d^2b/dt^2`` at time ``t``."""
+        m = self.bathy.motion
+        return float(m.value(t)), float(m.rate(t)), float(m.accel(t))
 
     @cached_property
     def friction_bed_factor(self):
@@ -218,20 +240,18 @@ class _RunContext:
             self._operator = (f.bed_offset, parts)
         return parts
 
-    def _build(self, state):
-        t, bc, motion = state.t, self.boundary, self.bathy.motion
-        b = motion.value(t)
+    def _build(self, t, H, q, b, bed_rate, bed_accel):
+        bc = self.boundary
         zp = self.Zp + b
-        u = state.velocity()
-        Hp = _pad(state.H, bc, 1.0)
-        wet = state.H >= DRY_THRESHOLD
-        return _Fields(t=t, x=self.x, dx=self.dx, H=state.H, q=state.q, u=u,
-                       zb=zp[NGHOST:-NGHOST], Hp=Hp, up=_pad(u, bc, -1.0),
+        wet = H >= DRY_THRESHOLD
+        u = np.zeros_like(H)  # FlowState.velocity, from the same mask
+        np.divide(q, H, out=u, where=wet)
+        Hp = _pad(H, bc, 1.0)
+        return _Fields(t=t, x=self.x, dx=self.dx, H=H, q=q, u=u,
+                       zb=zp[..., NGHOST:-NGHOST], Hp=Hp, up=_pad(u, bc, -1.0),
                        zp=zp, etap=zp + Hp, zbx_ring=self.zbx_ring,
                        zbxx_ring=self.zbxx_ring, bed_offset=b,
-                       bed_rate=float(motion.rate(t)),
-                       bed_accel=float(motion.accel(t)),
-                       grad_pa=self.params.p_atm.grad_x(self.x, t),
+                       bed_rate=bed_rate, bed_accel=bed_accel,
                        wet=wet, all_wet=bool(wet.all()))
 
 
@@ -243,33 +263,26 @@ def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
     without it only ``H u^2`` is fluxed, for tiers that apply the pressure
     gradient in non-conservative form.
     """
-    n = f.H.size
     dx = f.dx
     Hp, up, etap = f.Hp, f.up, f.etap
+    Hc, uc, etac = Hp[1:-1], up[1:-1], etap[1:-1]
 
+    # in-cell face-extrapolated values for cells -1 .. n, from half the
+    # unlimited central (Fromm) slopes on H, u, eta (none in first order)
     if first_order:
-        sH = np.zeros(n + 2)
-        su = np.zeros(n + 2)
-        seta = np.zeros(n + 2)
+        H_left_in = H_right_in = Hc
+        u_left_in = u_right_in = uc
+        eta_left_in = eta_right_in = etac
+        z_left_in = z_right_in = etac - Hc
     else:
-        # unlimited central (Fromm) slopes on H, eta, u at cells -1 .. n
-        sH = 0.5 * (Hp[2:] - Hp[:-2])
-        su = 0.5 * (up[2:] - up[:-2])
-        seta = 0.5 * (etap[2:] - etap[:-2])
-
-    Hc = Hp[1:-1]
-    uc = up[1:-1]
-    etac = etap[1:-1]
-
-    # in-cell face-extrapolated values for cells -1 .. n
-    H_left_in = Hc - 0.5 * sH
-    H_right_in = Hc + 0.5 * sH
-    u_left_in = uc - 0.5 * su
-    u_right_in = uc + 0.5 * su
-    eta_left_in = etac - 0.5 * seta
-    eta_right_in = etac + 0.5 * seta
-    z_left_in = eta_left_in - H_left_in
-    z_right_in = eta_right_in - H_right_in
+        hH = 0.25 * (Hp[2:] - Hp[:-2])
+        hu = 0.25 * (up[2:] - up[:-2])
+        heta = 0.25 * (etap[2:] - etap[:-2])
+        H_left_in, H_right_in = Hc - hH, Hc + hH
+        u_left_in, u_right_in = uc - hu, uc + hu
+        eta_left_in, eta_right_in = etac - heta, etac + heta
+        z_left_in = eta_left_in - H_left_in
+        z_right_in = eta_right_in - H_right_in
 
     # face j (j = 0 .. n) sits between ring cells j-1 and j
     H_L = H_right_in[:-1]
@@ -307,7 +320,7 @@ def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
         flux_q = (0.5 * (qs_L * u_L + qs_R * u_R)
                   - half_lam * (qs_R - qs_L))
 
-    dHdt = -(flux_H[1:] - flux_H[:-1]) / dx
+    dHdt = (flux_H[:-1] - flux_H[1:]) / dx
 
     # per-cell face values (cell i owns ring index i+1)
     H_own_left = H_left_in[1:-1]
@@ -320,9 +333,9 @@ def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
         flux_q_left = flux_q[:-1] + 0.5 * g * (H_own_left**2 - Hs_R2[:-1])
         bed_source = (-g * 0.5 * (H_own_left + H_own_right)
                       * (z_own_right - z_own_left) / dx)
-        dqdt = -(flux_q_right - flux_q_left) / dx + bed_source
+        dqdt = (flux_q_left - flux_q_right) / dx + bed_source
     else:
-        dqdt = -(flux_q[1:] - flux_q[:-1]) / dx
+        dqdt = (flux_q[:-1] - flux_q[1:]) / dx
         # non-conservative surface-gradient form of the pressure
         dqdt -= g * f.H * _centered_difference(etap[1:-1], dx)
 
@@ -361,7 +374,7 @@ def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
     if not inviscid and params.nu > 0.0:
         dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, params.nu)
 
-    if f.grad_pa.any():
+    if f.grad_pa is not None and f.grad_pa.any():
         dqdt = dqdt - f.H * f.grad_pa
 
     if kappa_ring is not None:
@@ -409,8 +422,8 @@ def _ring_kappa(f, params, tier=None):
                                                 and params.k_t == 0.0):
         return None
     if f.kappa_ring is None:
-        f.kappa_ring = friction_kappa(f.up[1:-1], f.zbx_ring, f.Hp[1:-1],
-                                      params)
+        f.kappa_ring = friction_kappa(f.up[..., 1:-1], f.zbx_ring,
+                                      f.Hp[..., 1:-1], params)
     return f.kappa_ring
 
 
@@ -521,8 +534,9 @@ def _bed_operator(zp, zbx_ring, dx, boundary):
                            _interior(zbx_ring), dx, boundary)
 
 
-def _dry_guard(stencils, f):
-    """Decouple dry cells: identity row so the solve returns ``a = F = 0``."""
+def _dry_guard(stencils, f, boundary):
+    """Decouple dry cells: identity row so the solve returns ``a = F = 0``,
+    and no coupling into them, across the wrap of a periodic domain too."""
     if f.all_wet:
         return stencils
     dry = ~f.wet
@@ -530,11 +544,11 @@ def _dry_guard(stencils, f):
     for k, arr in stencils.items():
         arr = arr.copy()
         arr[dry] = 1.0 if k == 0 else 0.0
-        # also cut couplings *into* dry cells from wet neighbors
         if k != 0:
             idx = np.nonzero(dry)[0] - k
-            idx = idx[(idx >= 0) & (idx < arr.size)]
-            arr[idx] = 0.0
+            if boundary is not Boundary.PERIODIC:  # no wrap-around coupling
+                idx = idx[(idx >= 0) & (idx < arr.size)]
+            arr[idx % arr.size] = 0.0
         out[k] = arr
     return out
 
@@ -579,7 +593,8 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
         A = BandedMatrix(bed.bands.copy(), bed.corners)
         A.bands[1] += stencils[0]
     else:
-        A = BandedMatrix.from_stencils(_dry_guard(stencils, f), grid.boundary)
+        guarded = _dry_guard(stencils, f, grid.boundary)
+        A = BandedMatrix.from_stencils(guarded, grid.boundary)
 
     if debug:  # row sums of |A| in O(n)
         magnitude = BandedMatrix(np.abs(A.bands), tuple(map(abs, A.corners)))

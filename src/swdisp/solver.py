@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .core import DRY_THRESHOLD, Boundary, FlowState
-from .models import ModelTier, _RunContext, assemble_dispersive
+from .models import _RunContext, assemble_dispersive
 
 __all__ = [
     "SolverError",
@@ -278,14 +278,19 @@ class RunResult:
 
     ``states`` holds the initial state, any requested snapshots, and the
     final state; ``reports`` holds one energy report per step (when
-    collected) with measured rates and budget residuals attached; ``stats``
-    accumulates event counters (steps taken, positivity clamps).
+    collected; computed per block of states once they exist, with the
+    values of a report on each state alone) with measured rates and budget
+    residuals attached; ``stats`` accumulates event counters (steps taken,
+    positivity clamps).
     """
 
     times: list
     states: list
     reports: list
     stats: dict
+
+
+_REPORT_BLOCK_CELLS = 2048  # cells per block of reports in run_simulation
 
 
 def _check_finite(state, step_index):
@@ -311,21 +316,29 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     infinite ``H`` or ``q`` in the initial or any later state raises
     :class:`SolverError` with the step, time and first bad cell.
     """
-    from .diagnostics import attach_measured_rates, energy_extended, energy_hydro
+    from .diagnostics import attach_measured_rates, energy_reports
 
     context = _RunContext(bathy, params, grid)
+    block = max(1, _REPORT_BLOCK_CELLS // grid.n_cells)
+    pending, reports = [], []  # states whose reports are not computed yet
 
-    def make_report(s):
-        if tier is ModelTier.HYDROSTATIC:
-            return energy_hydro(s, bathy, params, grid, context=context)
-        return energy_extended(s, bathy, params, grid, tier, context=context)
+    def flush():
+        reports.extend(energy_reports(pending, bathy, params, grid, tier,
+                                      context=context))
+        pending.clear()
+
+    def report(s):
+        if collect_reports:
+            pending.append(s)
+            if len(pending) == block:
+                flush()
 
     s = state.copy()
     _check_finite(s, 0)
     stats = {"steps": 0, "positivity_clamps": 0}
     times = [s.t]
     states = [s.copy()]
-    reports = [make_report(s)] if collect_reports else []
+    report(s)
 
     t_end = controls.t_end
     guard = 1e-12 * max(1.0, abs(t_end))
@@ -339,8 +352,7 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
                  debug=debug, context=context)
         stats["steps"] += 1
         _check_finite(s, stats["steps"])
-        if collect_reports:
-            reports.append(make_report(s))
+        report(s)
         if snapshot_interval == 0.0:
             times.append(s.t)
             states.append(s.copy())
@@ -355,5 +367,6 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
         states.append(s.copy())
 
     if collect_reports:
+        flush()
         attach_measured_rates(reports)
     return RunResult(times=times, states=states, reports=reports, stats=stats)

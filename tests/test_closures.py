@@ -41,6 +41,24 @@ def test_friction_laminar_only():
     assert friction_kappa(u_bar=5.0, dzb_dx=0.3, H=2.0, params=params) == pytest.approx(0.01, abs=0.0)
 
 
+def test_friction_laminar_kappa_in_every_column():
+    """With k_t = 0 the wall law is k_l in every column, dry columns and
+    any velocity or slope included (the bottom-velocity estimate is not
+    needed), in the broadcast shape of the inputs."""
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-3.0, 3.0, (4, 12))
+    slope = rng.uniform(-0.5, 0.5, 12)
+    H = rng.uniform(0.0, 2.0, (4, 12))
+    H[:, :3] = 0.0
+    for nu in (0.0, 1e-3):
+        params = PhysicalParams(nu=nu, k_l=0.02, k_t=0.0)
+        kappa = friction_kappa(u, slope, H, params)
+        np.testing.assert_array_equal(kappa, np.full((4, 12), 0.02))
+    # the turbulent closure keeps its nu error
+    with pytest.raises(ValueError, match="requires nu > 0"):
+        friction_kappa(u, slope, H, PhysicalParams(nu=0.0, k_l=0.02, k_t=0.1))
+
+
 def test_friction_turbulent_only():
     # v_b = |u| / (1 + 0) = 3, kappa = 0.1 * 2 * 3 = 0.6; must hold for any nu
     for nu in [0.0, 1e-6, 1.0]:

@@ -6,19 +6,26 @@ Gauss-Legendre quadrature with identical discrete inputs; phase speeds are
 recovered from synthetic traveling waves with known speed.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 from swdisp.closures import vertical_velocity
 from swdisp.core import (
+    AnalyticPressure,
     BathymetryField,
+    Boundary,
     FlatBed,
     FlowState,
     GaussianBump,
+    GradientPressure,
     Grid,
     PhysicalParams,
     SinusoidMotion,
+    StaticBed,
+    ZeroPressure,
 )
 from swdisp.diagnostics import (
     EnergyReport,
@@ -26,6 +33,7 @@ from swdisp.diagnostics import (
     convergence_study,
     energy_extended,
     energy_hydro,
+    energy_reports,
     measure_dispersion,
 )
 from swdisp.models import ModelTier
@@ -178,6 +186,52 @@ def test_energy_extended_matches_per_cell_quadrature(tier):
 # ---------------------------------------------------------------------------
 # measured rates / budget residual bookkeeping
 # ---------------------------------------------------------------------------
+
+REPORT_FIELDS = ("t", "mass", "momentum", "E_h", "E_ext", "modeled_rate",
+                 "dissipation_rate", "budget_residual")
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_block_reports_equal_reports_of_each_state(tier, boundary):
+    """``energy_reports`` on a block of states gives, bit for bit, the
+    report of each state alone, for static and moving beds, every kind of
+    atmospheric pressure, all-wet states and states around an island, and
+    laminar and turbulent friction."""
+    grid = Grid(0.0, 10.0, 40, boundary)
+    x = grid.cell_centers
+    pressures = (ZeroPressure(), GradientPressure(0.01), AnalyticPressure(
+        value_fn=lambda x, t: 0.01 * x + 0.02 * np.cos(t),
+        grad_x_fn=lambda x, t: np.full_like(x, 0.01),
+        rate_t_fn=lambda x, t: -0.02 * np.sin(t)))  # a scalar rate
+    motions = (StaticBed(), SinusoidMotion(amplitude=0.01,
+                                           angular_frequency=2.0, phase=0.4))
+    for amplitude, motion, p_atm, k_t in itertools.product(
+            (0.3, 1.05), motions, pressures, (0.0, 0.05)):
+        bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                             amplitude=amplitude, level=-1.0),
+                                motion)
+        params = PhysicalParams(g=G, nu=1e-3, k_l=1e-2, k_t=k_t, p_atm=p_atm)
+        states = []
+        for i in range(6):
+            t = 0.07 * i
+            eta = 0.05 * (1.0 + 0.1 * i) * np.exp(-0.5 * (x - 3.0 - 0.2 * i)**2)
+            H = np.maximum(eta - bathy.elevation(x, t), 0.0)
+            u = 0.05 * np.sin(0.2 * np.pi * (x - 0.3 * i))
+            states.append(FlowState(t=t, H=H, q=H * u))
+        assert (min(s.H.min() for s in states) == 0.0) == (amplitude > 1.0)
+
+        block = energy_reports(states, bathy, params, grid, tier)
+        if tier is ModelTier.HYDROSTATIC:
+            alone = [energy_hydro(s, bathy, params, grid) for s in states]
+        else:
+            alone = [energy_extended(s, bathy, params, grid, tier)
+                     for s in states]
+        np.testing.assert_array_equal(
+            [[getattr(r, k) for k in REPORT_FIELDS] for r in block],
+            [[getattr(r, k) for k in REPORT_FIELDS] for r in alone])
+    assert energy_reports([], bathy, params, grid, tier) == []
+
 
 def test_attach_measured_rates():
     reports = [

@@ -5,10 +5,12 @@ Runs the benchmark geometry (domain [0, 20], Gaussian bed bump of amplitude
 periodic boundaries, nu = 1e-3, k_l = 1e-2) for each tier at n = 256, 1024
 and 8192, and at n = 8192 on a bed moving as ``b(t) = 0.01 sin(2 t)``
 ("8192 sinusoidal"), with energy reports on.  A report costs the time spent
-inside the public energy functions, which the script times by wrapping
-them, and a step costs the rest of the run's wall time; both are given per
-step.  Each figure is the lowest of ``BLOCKS`` medians of ``REPEATS`` runs,
-because the CPU speed of a shared host drifts.
+inside the energy functions the run calls, which the script times by
+wrapping them: ``energy_reports``, which takes a block of states, or, in a
+checkout without it, ``energy_hydro`` and ``energy_extended``.  A step costs
+the rest of the run's wall time; both are given per step.  Each figure is
+the lowest of ``BLOCKS`` medians of ``REPEATS`` runs, because the CPU speed
+of a shared host drifts.
 
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json
 
@@ -71,7 +73,9 @@ def _per_step(tier, n, motion):
     """Medians of (step, report) seconds per step over ``REPEATS`` runs."""
     grid, bathy, state, params, controls = _scenario(n, motion)
     spent = [0.0]
-    names = ("energy_hydro", "energy_extended")
+    names = (("energy_reports",) if hasattr(swdisp.diagnostics,
+                                            "energy_reports")
+             else ("energy_hydro", "energy_extended"))
     saved = [getattr(swdisp.diagnostics, name) for name in names]
     steps, reports = [], []
     try:
