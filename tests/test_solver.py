@@ -397,18 +397,16 @@ REPORT_FIELDS = ("t", "mass", "momentum", "E_h", "E_ext", "modeled_rate",
                  "dissipation_rate", "budget_residual")
 
 
-@pytest.mark.parametrize("case", ["pressure-multiple", "laminar-remainder"])
 @pytest.mark.parametrize("bed", ["bump", "sampled", "moving"])
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("tier", list(ModelTier))
-def test_run_matches_hand_loop_of_public_functions(tier, boundary, bed, case):
+def test_run_matches_hand_loop_of_public_functions(tier, boundary, bed):
     """What a run computes once and shares between calls must not go stale:
     ``run_simulation`` gives the final state and every report of a loop over
     the public ``stable_dt``, ``step`` and energy functions, which derive
     everything afresh on each call.  The run's reports span several blocks,
-    the last one full ("multiple") or not ("remainder"); the forcing is a
-    pressure slope with turbulent friction, or no atmospheric pressure with
-    laminar friction."""
+    with a pressure slope and turbulent friction the last block full, and
+    with no atmospheric pressure and laminar friction one report over."""
     from swdisp.core import GradientPressure, SampledBed
     from swdisp.diagnostics import (attach_measured_rates, energy_extended,
                                     energy_hydro)
@@ -421,45 +419,45 @@ def test_run_matches_hand_loop_of_public_functions(tier, boundary, bed, case):
              "sampled": BathymetryField(SampledBed(bump.value(x))),
              "moving": BathymetryField(bump, SinusoidMotion(
                  amplitude=0.01, angular_frequency=2.0, phase=0.4))}[bed]
-    if case == "pressure-multiple":
-        params = PhysicalParams(nu=1e-3, k_l=1e-2, k_t=0.05,
-                                p_atm=GradientPressure(0.01))
-    else:
-        params = PhysicalParams(nu=1e-3, k_l=1e-2)
     H = lake_at_rest(grid, bathy, eta0=0.05 * np.exp(-0.5 * (x - 3.0)**2)).H
     u = 0.0 if boundary is Boundary.WALL else 0.05 * np.sin(0.2 * np.pi * x)
     s0 = FlowState(t=0.0, H=H, q=H * u)
-
-    # end the run after the steps that give this many reports
     block = _REPORT_BLOCK_CELLS // grid.n_cells
-    n_reports = 2 * block + (case == "laminar-remainder")
-    s, controls = s0, StepControls(t_end=1.0, cfl=0.45)
-    for _ in range(n_reports - 1):
-        s = step(s, bathy, params, grid, tier,
-                 stable_dt(s, params, grid, controls))
-    controls = StepControls(t_end=s.t, cfl=0.45)
 
-    def report(s):
-        if tier is ModelTier.HYDROSTATIC:
-            return energy_hydro(s, bathy, params, grid)
-        return energy_extended(s, bathy, params, grid, tier)
+    for params, n_reports in (
+            (PhysicalParams(nu=1e-3, k_l=1e-2, k_t=0.05,
+                            p_atm=GradientPressure(0.01)), 2 * block),
+            (PhysicalParams(nu=1e-3, k_l=1e-2), 2 * block + 1)):
+        # end the run after the steps that give n_reports reports
+        s, controls = s0, StepControls(t_end=1.0, cfl=0.45)
+        for _ in range(n_reports - 1):
+            s = step(s, bathy, params, grid, tier,
+                     stable_dt(s, params, grid, controls))
+        controls = StepControls(t_end=s.t, cfl=0.45)
 
-    s, reports = s0, [report(s0)]
-    while s.t < controls.t_end - 1e-12:
-        dt = min(stable_dt(s, params, grid, controls), controls.t_end - s.t)
-        s = step(s, bathy, params, grid, tier, dt, stats={})
-        reports.append(report(s))
-    attach_measured_rates(reports)
-    assert len(reports) == n_reports > block
+        def report(s):
+            if tier is ModelTier.HYDROSTATIC:
+                return energy_hydro(s, bathy, params, grid)
+            return energy_extended(s, bathy, params, grid, tier)
 
-    result = run_simulation(s0, bathy, params, grid, tier, controls)
-    got = np.array([[getattr(r, k) for k in REPORT_FIELDS]
-                    for r in result.reports])
-    want = np.array([[getattr(r, k) for k in REPORT_FIELDS] for r in reports])
-    final = result.states[-1]
-    np.testing.assert_array_equal(final.H, s.H)
-    np.testing.assert_array_equal(final.q, s.q)
-    np.testing.assert_array_equal(got, want)
+        s, reports = s0, [report(s0)]
+        while s.t < controls.t_end - 1e-12:
+            dt = min(stable_dt(s, params, grid, controls),
+                     controls.t_end - s.t)
+            s = step(s, bathy, params, grid, tier, dt, stats={})
+            reports.append(report(s))
+        attach_measured_rates(reports)
+        assert len(reports) == n_reports > block
+
+        result = run_simulation(s0, bathy, params, grid, tier, controls)
+        got = np.array([[getattr(r, k) for k in REPORT_FIELDS]
+                        for r in result.reports])
+        want = np.array([[getattr(r, k) for k in REPORT_FIELDS]
+                         for r in reports])
+        final = result.states[-1]
+        np.testing.assert_array_equal(final.H, s.H)
+        np.testing.assert_array_equal(final.q, s.q)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_context_from_other_objects_is_refused():
