@@ -61,26 +61,20 @@ class EnergyReport:
     budget_residual: float = math.nan
 
 
-def energy_hydro(state, bathy, params, grid, *, context=None):
+def energy_hydro(state, bathy, params, grid):
     """Hydrostatic energy report (E_ext coincides with E_h here): the
-    :func:`energy_reports` of ``state`` alone.
-
-    ``context`` is the run's ``models._RunContext`` (built when absent; one
-    built from other ``bathy``, ``params`` or ``grid`` raises ``ValueError``).
-    """
+    :func:`energy_reports` of ``state`` alone."""
     return energy_reports([state], bathy, params, grid,
-                          ModelTier.HYDROSTATIC, context=context)[0]
+                          ModelTier.HYDROSTATIC)[0]
 
 
-def energy_extended(state, bathy, params, grid, tier, *, context=None):
+def energy_extended(state, bathy, params, grid, tier):
     """Energy report including the tier's vertical kinetic energy: the
-    :func:`energy_reports` of ``state`` alone (``context`` as for
-    :func:`energy_hydro`)."""
+    :func:`energy_reports` of ``state`` alone."""
     if tier is ModelTier.HYDROSTATIC:
         raise ValueError("the hydrostatic tier has no extended energy; "
                          "use energy_hydro")
-    return energy_reports([state], bathy, params, grid, tier,
-                          context=context)[0]
+    return energy_reports([state], bathy, params, grid, tier)[0]
 
 
 def energy_reports(states, bathy, params, grid, tier, *, context=None):
@@ -88,7 +82,9 @@ def energy_reports(states, bathy, params, grid, tier, *, context=None):
     on 2-D fields with one row per state; every integral is a row sum, so
     each report equals that of its state alone.  The hydrostatic tier
     reports ``E_ext = E_h``; the inviscid tier's budget carries no viscous
-    or friction dissipation.  ``context`` as for :func:`energy_hydro`."""
+    or friction dissipation.  ``context`` is the run's
+    ``models._RunContext`` (built when absent; one built from other
+    ``bathy``, ``params`` or ``grid`` raises ``ValueError``)."""
     states = list(states)
     if not states:
         return []

@@ -106,8 +106,8 @@ def _build_case(name, tier, *, H0, amp_H, amp_u, omega1, omega2, length,
         t_end=float(t_end),
         exact_H=_compile(H, x, t),
         exact_u=_compile(u, x, t),
-        source_H=_compile(sp.simplify(source_H), x, t),
-        source_q=_compile(sp.simplify(source_q), x, t),
+        source_H=_compile(source_H, x, t),
+        source_q=_compile(source_q, x, t),
     )
 
 

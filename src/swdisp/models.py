@@ -10,8 +10,9 @@ Every tier poses one implicit problem ``A[a] = F`` for the acceleration
 explicit forcings.  For the hydrostatic tier ``A = diag(H)``.  The
 dispersive tiers reuse the hydrostatic tendencies for their advective core
 and add the inertia of the non-hydrostatic pressure, which makes ``A``
-tridiagonal.  ``A`` is built from its stencil diagonals so the
-linear-algebra layer can apply boundary folding and solve it.
+tridiagonal.  Every tier builds ``A`` one way: a copy of the tier's
+off-diagonal bands (boundary folded in; all zero for Hydrostatic) plus the
+state's diagonal, with dry cells then cut out of the bands.
 
 A run keeps what it does not change in one private :class:`_RunContext`:
 the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
@@ -226,17 +227,17 @@ class _RunContext:
         return 1.0 + 2.5 * _interior(self.zbx_ring)**2
 
     def bed_operator(self, f):
-        """:func:`_bed_operator` of the bed in ``f``, built once per ``b``,
-        and the ``BandedMatrix`` of ``(sub, sup)`` with a zero diagonal."""
+        """``(X, Y, off)`` of the bed in ``f``, built once per ``b``:
+        :func:`_bed_operator`'s diagonal parts and the ``BandedMatrix`` of
+        its off-diagonals with a zero diagonal (boundary folds aside)."""
         from .solver import BandedMatrix
 
         b, parts = self._operator
         if f.bed_offset != b:
             sub, X, Y, sup = _bed_operator(f.zp, self.zbx_ring, self.dx,
                                            self.boundary)
-            bands = BandedMatrix.from_stencils({-1: sub, 1: sup},
-                                               self.boundary)
-            parts = (sub, X, Y, sup, bands)
+            parts = (X, Y, BandedMatrix.from_stencils({-1: sub, 1: sup},
+                                                      self.boundary))
             self._operator = (f.bed_offset, parts)
         return parts
 
@@ -534,25 +535,6 @@ def _bed_operator(zp, zbx_ring, dx, boundary):
                            _interior(zbx_ring), dx, boundary)
 
 
-def _dry_guard(stencils, f, boundary):
-    """Decouple dry cells: identity row so the solve returns ``a = F = 0``,
-    and no coupling into them, across the wrap of a periodic domain too."""
-    if f.all_wet:
-        return stencils
-    dry = ~f.wet
-    out = {}
-    for k, arr in stencils.items():
-        arr = arr.copy()
-        arr[dry] = 1.0 if k == 0 else 0.0
-        if k != 0:
-            idx = np.nonzero(dry)[0] - k
-            if boundary is not Boundary.PERIODIC:  # no wrap-around coupling
-                idx = idx[(idx >= 0) & (idx < arr.size)]
-            arr[idx % arr.size] = 0.0
-        out[k] = arr
-    return out
-
-
 def assemble_dispersive(state, bathy, params, grid, tier, *,
                         include_pointwise_friction=True, first_order=False,
                         stats=None, sources=None, debug=False, context=None):
@@ -578,23 +560,19 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     f = context.fields(state)
     H, u = f.H, f.u
     kappa_ring = _ring_kappa(f, params, tier)
+    inviscid = tier is ModelTier.PEREGRINE_INVISCID
+    dHdt, dqdt = _core_tendency(f, params, inviscid, first_order=first_order,
+                                stats=stats, sources=sources)
+    F = dqdt - u * dHdt
     if tier is ModelTier.HYDROSTATIC:
-        dHdt, dqdt = _core_tendency(f, params, False, first_order=first_order,
-                                    stats=stats, sources=sources)
-        F = dqdt - u * dHdt
-        stencils = {0: H}
+        off, diag = BandedMatrix(np.zeros((3, H.size))), H
     else:
-        stencils, F, dHdt = _dispersive_terms(
-            f, context, params, tier, kappa_ring,
-            first_order=first_order, stats=stats, sources=sources)
-    if f.all_wet and tier in (ModelTier.NONHYDRO1,
-                              ModelTier.PEREGRINE_INVISCID):
-        bed = context.bed_operator(f)[4]  # only the diagonal row changes
-        A = BandedMatrix(bed.bands.copy(), bed.corners)
-        A.bands[1] += stencils[0]
-    else:
-        guarded = _dry_guard(stencils, f, grid.boundary)
-        A = BandedMatrix.from_stencils(guarded, grid.boundary)
+        off, diag, F = _dispersive_terms(f, context, params, tier,
+                                         kappa_ring, F)
+    A = BandedMatrix(off.bands.copy(), off.corners)
+    A.bands[1] += diag
+    if not f.all_wet:
+        A.decouple(~f.wet)
 
     if debug:  # row sums of |A| in O(n)
         magnitude = BandedMatrix(np.abs(A.bands), tuple(map(abs, A.corners)))
@@ -614,17 +592,13 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
 
 
-def _dispersive_terms(f, context, params, tier, kappa_ring, *, first_order,
-                      stats, sources):
-    """Stencils of ``A``, ``F`` without pointwise friction, and ``dH/dt``."""
+def _dispersive_terms(f, context, params, tier, kappa_ring, F):
+    """Off-diagonal ``BandedMatrix`` and diagonal of ``A``, and ``F`` (the
+    advective core's on entry) with the dispersive forcings added."""
+    from .solver import BandedMatrix
+
     dx, boundary = f.dx, context.boundary
     H, u, zb = f.H, f.u, f.zb
-
-    # ---- advective core -------------------------------------------------
-    dHdt, dqdt_core = _core_tendency(
-        f, params, tier is ModelTier.PEREGRINE_INVISCID,
-        first_order=first_order, stats=stats, sources=sources)
-    F = dqdt_core - u * dHdt
 
     # ---- shared discrete fields -----------------------------------------
     ring = slice(1, -1)
@@ -640,7 +614,7 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, *, first_order,
     kappa = None if kappa_ring is None else _interior(kappa_ring)
     friction = kappa is not None and kappa.any()
 
-    # ---- operator stencils ----------------------------------------------
+    # ---- operator --------------------------------------------------------
     if tier is ModelTier.NONHYDRO2:
         # A[a] = H a + d/dx((H^3/6 - eta H^2/2) da/dx + (H^2/2) d(z_b a)/dx)
         #            + dz_b/dx ((H^2/2 - eta H) da/dx + H d(z_b a)/dx)
@@ -649,9 +623,9 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, *, first_order,
         sub, X, Y, sup = _operator_parts(z_ring, coeff1[ring], coeff2[ring],
                                          H**2 / 2.0 - f.eta * H, H, zbx, dx,
                                          boundary)
+        off = BandedMatrix.from_stencils({-1: sub, 1: sup}, boundary)
     else:
-        sub, X, Y, sup, _ = context.bed_operator(f)
-    stencils = {-1: sub, 0: H - X - Y, 1: sup}
+        X, Y, off = context.bed_operator(f)
 
     # ---- explicit dispersive forcings ------------------------------------
     if tier in (ModelTier.NONHYDRO1, ModelTier.PEREGRINE_INVISCID):
@@ -698,7 +672,7 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, *, first_order,
             F = F + kappa * zbx * ((0.5 * _interior(f.Hx_ring) + zbx) * u
                                    + (H / 2.0) * s)
 
-    return stencils, F, dHdt
+    return off, H - X - Y, F
 
 
 def _nh2_stationary_extras(f, kappa_ring, params):

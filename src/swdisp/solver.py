@@ -96,6 +96,18 @@ class BandedMatrix:
         # Boundary.WALL: ghost unknowns vanish, entries dropped
         return cls(bands=bands, corners=corners)
 
+    def decouple(self, mask):
+        """Cut the cells where ``mask`` is true out of the system, in place:
+        each gets an identity row and a unit column, across the wrap of a
+        periodic domain too, so the solve returns the right-hand side there.
+        Both corners go when the first or last cell is cut."""
+        cells, bands = np.flatnonzero(mask), self.bands
+        bands[:, cells] = ((0.0,), (1.0,), (0.0,))  # column
+        bands[0, cells[cells < self.n - 1] + 1] = 0.0  # row: A[i, i+1]
+        bands[2, cells[cells > 0] - 1] = 0.0  # row: A[i, i-1]
+        if mask[0] or mask[-1]:
+            self.corners = ()
+
     def todense(self):
         """Dense ``(n, n)`` copy (for diagnostics and small-system checks)."""
         A = (np.diag(self.bands[1]) + np.diag(self.bands[0, 1:], 1)

@@ -355,36 +355,42 @@ def test_dry_cells_are_decoupled(tier, boundary):
     """An island that breaks the surface leaves dry cells: each gets an
     identity row in ``A`` and no coupling from its wet neighbours, and
     ``F`` and the friction coefficient vanish there, so the solve returns
-    ``a = 0`` on them.  An island at the left edge dries cells 0 and 1, so
-    on a periodic domain the wrap-around couplings are cut too and ``A``
-    keeps no corners."""
+    ``a = 0`` on them.  An island at the left edge dries cells 0 and 1, one
+    at the right edge cells n - 2 and n - 1, so on a periodic domain the
+    wrap-around couplings are cut too and ``A`` keeps no corners, and on a
+    copy domain the ghost fold leaves the dry end cell's diagonal at 1."""
     from swdisp.core import DRY_THRESHOLD
 
     grid = Grid(0.0, 10.0, 48, boundary)
-    x = grid.cell_centers
+    x, n = grid.cell_centers, grid.n_cells
     params = PhysicalParams(g=G, nu=1e-3, k_l=0.01, k_t=0.05,
                             p_atm=GradientPressure(0.01))
-    centre = BathymetryField(GaussianBump(center=5.0, width=1.0,
-                                          amplitude=1.05, level=-1.0))
-    edge = BathymetryField(GaussianBump(center=0.0, width=0.8,
-                                        amplitude=1.2, level=-1.0))
-    for bathy, eta in ((centre, 0.02 * np.sin(x)), (edge, 0.0)):
+
+    def bump(center, amplitude, width):
+        return BathymetryField(GaussianBump(center=center, width=width,
+                                            amplitude=amplitude, level=-1.0))
+
+    cases = ((bump(5.0, 1.05, 1.0), 0.02 * np.sin(x), None),
+             (bump(0.0, 1.2, 0.8), 0.0, [0, 1]),
+             (bump(10.0, 1.2, 0.8), 0.0, [n - 2, n - 1]))
+    for bathy, eta, edge in cases:
         H = np.maximum(0.0, eta - bathy.elevation(x, 0.0))
         state = FlowState(t=0.0, H=H, q=H * 0.1 * np.cos(0.5 * x))
         dry = np.flatnonzero(H < DRY_THRESHOLD)
-        assert 0 < dry.size < grid.n_cells // 2
+        assert 0 < dry.size < n // 2
         system = assemble_dispersive(state, bathy, params, grid, tier)
         A = system.A.todense()
         for i in dry:
-            row = np.zeros(grid.n_cells)
+            row = np.zeros(n)
             row[i] = 1.0
             np.testing.assert_array_equal(A[i], row)
             np.testing.assert_array_equal(A[:, i], row)
         assert np.all(system.F[dry] == 0.0)
         assert np.all(system.friction[dry] == 0.0)
         assert np.any(system.F != 0.0)
-    np.testing.assert_array_equal(dry, [0, 1])
-    assert system.A.corners == ()
+        if edge is not None:
+            np.testing.assert_array_equal(dry, edge)
+            assert system.A.corners == ()
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))

@@ -91,6 +91,29 @@ def test_banded_bandwidth_fields():
         BandedMatrix.from_stencils(stencils, Boundary.PERIODIC)
 
 
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_decouple_gives_identity_rows_and_columns(boundary):
+    """``decouple`` equals zeroing each chosen row and column of the dense
+    matrix and putting 1 on its diagonal; corners go exactly when the first
+    or last cell is chosen, and the solve returns ``b`` on chosen cells."""
+    rng = np.random.default_rng(5)
+    n = 12
+    for cut in ([3], [4, 5, 9], [0, 1], [10, 11], [0, 6, 11]):
+        stencils = random_stencils(n, rng)
+        A = BandedMatrix.from_stencils(stencils, boundary)
+        dense = dense_from_stencils(stencils, n, boundary)
+        dense[cut, :] = dense[:, cut] = 0.0
+        dense[cut, cut] = 1.0
+        mask = np.zeros(n, dtype=bool)
+        mask[cut] = True
+        A.decouple(mask)
+        np.testing.assert_array_equal(A.todense(), dense)
+        assert bool(A.corners) == (boundary is Boundary.PERIODIC
+                                   and not (mask[0] or mask[-1]))
+        b = rng.standard_normal(n)
+        np.testing.assert_array_equal(A.solve(b)[mask], b[mask])
+
+
 @pytest.mark.parametrize("offsets", [(-1, 0, 1), (0,)])
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.WALL])
 def test_singular_system_raises_solver_error(boundary, offsets):
@@ -464,7 +487,7 @@ def test_context_from_other_objects_is_refused():
     """A run context stands in for the bed, boundary and parameters it was
     built from, so a public function handed one built from other objects
     raises instead of computing with stale fields."""
-    from swdisp.diagnostics import energy_extended, energy_hydro
+    from swdisp.diagnostics import energy_reports
     from swdisp.models import _RunContext, assemble_dispersive
 
     grid = Grid(0.0, 10.0, 16, Boundary.PERIODIC)
@@ -484,8 +507,8 @@ def test_context_from_other_objects_is_refused():
         calls = [lambda: step(s, b, p, g, tier, 1e-3, context=context),
                  lambda: assemble_dispersive(s, b, p, g, tier,
                                              context=context),
-                 lambda: energy_hydro(s, b, p, g, context=context),
-                 lambda: energy_extended(s, b, p, g, tier, context=context)]
+                 lambda: energy_reports([s], b, p, g, tier,
+                                        context=context)]
         if "bathy" not in other:
             calls.append(lambda: stable_dt(s, p, g, StepControls(t_end=1.0),
                                            context=context))
