@@ -585,14 +585,16 @@ def _derived_columns(state, bathy, params, grid, tier, fields, *,
         else:
             from .models import assemble_dispersive
             system = assemble_dispersive(state, bathy, params, grid, tier,
-                                         include_pointwise_friction=True,
                                          context=context)
-            a = system.A.solve(system.F)
+            F = system.F
+            if system.friction.any():
+                F = F - system.friction * u
+            a = system.A.solve(F)
             dadx = _centered_difference(_pad(a, bc, -1.0)[1:-1], dx)
-            detadx = _interior(_centered_difference(f.etap, dx))
-            detadt = zbt - _interior(_centered_difference(f.Hp * f.up, dx))
+            detadx = _interior(f.etax_ring)
+            detadt = zbt - _interior(f.divq_ring)
             d2u = _centered_difference(_pad(dudx, bc)[1:-1], dx)
-            dzbu = _interior(_centered_difference(f.zp * f.up, dx))
+            dzbu = _interior(f.m_ring)
             d2zbu = _centered_difference(_pad(dzbu, bc)[1:-1], dx)
             out["p_bottom"] = closures.pressure_nonhydrostatic(
                 zb, tier=tier, params=params, eta=eta, z_b=zb, u_bar=u,

@@ -19,9 +19,9 @@ the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
 curvature, the dispersive friction's bed factor, and the bed part of
 NonHydro1's and PeregrineInviscid's ``A`` for the last ``b``.  It hands out
 one field bundle (:class:`_Fields`) per state, which carries the state's
-wet mask and, once computed, its wall-law kappa and friction coefficient,
-and for the energy reports one bundle per block of states, with one row
-per state.
+wet mask and, once computed, its wall-law kappa, friction coefficient,
+face-depth clamp count and differences, and for the energy reports one
+bundle per block of states, with one row per state.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
@@ -31,7 +31,7 @@ conservation form ``d(H)/dt``, ``d(q)/dt`` with ``q = H u_bar``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -109,13 +109,15 @@ class _Fields:
     """Fields of one state read by the core, assembly, friction and reports.
 
     ``Hp``, ``up``, ``zp``, ``etap`` carry ``NGHOST`` ghost cells per side.
-    ``eta``, ``ux_ring`` and ``Hx_ring`` (centered, width-1 ring) are
-    computed on first use; the bed's ring slope and curvature are the run's.
+    ``eta`` and the centered differences (width-1 ring) ``ux_ring``,
+    ``Hx_ring``, ``etax_ring``, ``divq_ring`` of ``H u`` and ``m_ring`` of
+    ``z_b u`` are computed on first use; the bed's are the run's.
     ``bed_offset``, ``bed_rate`` and ``bed_accel`` are ``b``, ``db/dt`` and
     ``d^2b/dt^2``; ``grad_pa`` is the atmospheric-pressure gradient (None
     without atmospheric pressure).  ``wet`` is ``H >= DRY_THRESHOLD``;
     ``kappa_ring`` and ``friction`` (``kappa_eff``) are set on first use by
-    their functions.  A block bundle (:meth:`_RunContext.block`) holds one
+    their functions, ``face_clamps`` (face depths clamped to zero) by
+    :func:`_fv_core`.  A block bundle (:meth:`_RunContext.block`) holds one
     row per state, its times and bed values as columns.
     """
 
@@ -140,6 +142,7 @@ class _Fields:
     grad_pa: np.ndarray = None  # set by _RunContext.fields
     kappa_ring: np.ndarray = None  # set by _ring_kappa
     friction: np.ndarray = None  # set by _friction_coefficient
+    face_clamps: int = 0  # set by _fv_core
 
     @cached_property
     def eta(self):
@@ -152,6 +155,18 @@ class _Fields:
     @cached_property
     def Hx_ring(self):
         return _centered_difference(self.Hp, self.dx)
+
+    @cached_property
+    def etax_ring(self):
+        return _centered_difference(self.etap, self.dx)
+
+    @cached_property
+    def divq_ring(self):
+        return _centered_difference(self.Hp * self.up, self.dx)
+
+    @cached_property
+    def m_ring(self):
+        return _centered_difference(self.zp * self.up, self.dx)
 
 
 class _RunContext:
@@ -236,8 +251,7 @@ class _RunContext:
         if f.bed_offset != b:
             sub, X, Y, sup = _bed_operator(f.zp, self.zbx_ring, self.dx,
                                            self.boundary)
-            parts = (X, Y, BandedMatrix.from_stencils({-1: sub, 1: sup},
-                                                      self.boundary))
+            parts = (X, Y, BandedMatrix.from_stencils(sub, sup, self.boundary))
             self._operator = (f.bed_offset, parts)
         return parts
 
@@ -256,7 +270,7 @@ class _RunContext:
                        wet=wet, all_wet=bool(wet.all()))
 
 
-def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
+def _fv_core(f, g, *, first_order, include_pressure, sources=None):
     """Finite-volume mass/momentum tendencies of the advective core.
 
     With ``include_pressure`` the momentum flux carries ``g H^2 / 2`` with
@@ -300,11 +314,10 @@ def _fv_core(f, g, *, first_order, stats, include_pressure, sources=None):
     Hs_R_raw = eta_R - z_face
     Hs_L = np.maximum(Hs_L_raw, 0.0)
     Hs_R = np.maximum(Hs_R_raw, 0.0)
-    if stats is not None and (Hs_L_raw.min() < 0.0 or Hs_R_raw.min() < 0.0):
-        clamped = int(np.count_nonzero(Hs_L_raw < 0.0)
-                      + np.count_nonzero(Hs_R_raw < 0.0))
-        if clamped:
-            stats["positivity_clamps"] = stats.get("positivity_clamps", 0) + clamped
+    f.face_clamps = 0
+    if Hs_L_raw.min() < 0.0 or Hs_R_raw.min() < 0.0:
+        f.face_clamps = int(np.count_nonzero(Hs_L_raw < 0.0)
+                            + np.count_nonzero(Hs_R_raw < 0.0))
 
     qs_L = Hs_L * u_L
     qs_R = Hs_R * u_R
@@ -362,7 +375,7 @@ def _viscous_tendency(Hp, up, dx, nu):
 
 
 def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
-                   stats=None, sources=None):
+                   sources=None):
     """``(dH/dt, dq/dt)`` of the advective core with its explicit forcings.
 
     The viscous tiers flux the hydrostatic pressure and add viscosity; the
@@ -370,7 +383,7 @@ def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
     Both add the atmospheric-pressure gradient.  A ``kappa_ring`` from
     :func:`_ring_kappa` adds the hydrostatic damping ``-kappa_eff u_bar``.
     """
-    dHdt, dqdt = _fv_core(f, params.g, first_order=first_order, stats=stats,
+    dHdt, dqdt = _fv_core(f, params.g, first_order=first_order,
                           include_pressure=not inviscid, sources=sources)
     if not inviscid and params.nu > 0.0:
         dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, params.nu)
@@ -383,34 +396,15 @@ def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
     return dHdt, dqdt
 
 
-def hydrostatic_tendency(state, bathy, params, grid, *, first_order=False,
-                         stats=None, sources=None):
-    """Tendencies ``(dH/dt, dq/dt)`` of the viscous hydrostatic tier,
-    including the pointwise wall-law damping ``-kappa_eff u_bar``.
-
-    Parameters
-    ----------
-    state : FlowState
-        Current conserved variables; ``state.t`` fixes the evaluation time
-        for the bed and the atmospheric pressure.
-    bathy : BathymetryField
-    params : PhysicalParams
-    grid : Grid
-    first_order : bool
-        Drop the linear reconstruction (debug mode for convergence tests).
-    stats : dict, optional
-        Mutated in place with event counters (face-depth clamps).
-    sources : (callable, callable), optional
-        Manufactured source pair ``(S_H(x, t), S_q(x, t))`` added verbatim.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        ``dH/dt`` and ``dq/dt`` at the cell centers.
-    """
+def hydrostatic_tendency(state, bathy, params, grid):
+    """Tendencies ``(dH/dt, dq/dt)`` at the cell centers of the viscous
+    hydrostatic tier, including the pointwise wall-law damping
+    ``-kappa_eff u_bar``, for the ``FlowState`` ``state`` on the
+    ``BathymetryField`` ``bathy``, ``PhysicalParams`` ``params`` and
+    ``Grid`` ``grid``; ``state.t`` fixes the evaluation time for the bed
+    and the atmospheric pressure."""
     f = _RunContext(bathy, params, grid).fields(state)
-    return _core_tendency(f, params, False, kappa_ring=_ring_kappa(f, params),
-                          first_order=first_order, stats=stats, sources=sources)
+    return _core_tendency(f, params, False, kappa_ring=_ring_kappa(f, params))
 
 
 def _ring_kappa(f, params, tier=None):
@@ -469,20 +463,21 @@ class DispersiveSystem:
         the hydrostatic tier.
     F : ndarray
         Explicit right-hand side (advective core plus dispersive,
-        moving-bottom, atmospheric, and friction-gradient forcings).
+        moving-bottom, atmospheric, and friction-gradient forcings),
+        without the pointwise damping ``-c u_bar``.
     dHdt : ndarray
         Mass tendency of the advective core (flux form).
     friction : ndarray
         Pointwise damping coefficient ``c`` of ``-c u_bar``, zero on dry
-        cells (also set when it was folded into ``F``).  The integrator
-        treats it implicitly and skips its divisor when ``c`` is all zero.
-        It may be an array the run keeps for the state: do not modify it.
+        cells.  The integrator treats it implicitly and skips its divisor
+        when ``c`` is all zero.  It may be an array the run keeps for the
+        state: do not modify it.
     """
 
     A: "object"
     F: np.ndarray
     dHdt: np.ndarray
-    friction: np.ndarray = field(default=None)
+    friction: np.ndarray
 
 
 def _operator_parts(zc, coeff1_cells, coeff2_cells, slope_c1, slope_c2, zbx,
@@ -536,19 +531,20 @@ def _bed_operator(zp, zbx_ring, dx, boundary):
 
 
 def assemble_dispersive(state, bathy, params, grid, tier, *,
-                        include_pointwise_friction=True, first_order=False,
-                        stats=None, sources=None, debug=False, context=None):
+                        first_order=False, sources=None, debug=False,
+                        context=None):
     """Build the implicit system ``A[a] = F`` of a tier.
 
     Parameters mirror :func:`hydrostatic_tendency`; ``tier`` selects the
     vertical closure (the hydrostatic tier is the diagonal case
-    ``A = diag(H)``, ``F = dq/dt - u_bar dH/dt``).
-    ``include_pointwise_friction=False`` leaves the damping ``-c u_bar`` out
-    of ``F`` and reports ``c`` in ``DispersiveSystem.friction`` for implicit
-    treatment.  ``debug`` turns on diagonal-dominance and residual checking
-    in the linear algebra.  ``context`` is the run's :class:`_RunContext`
-    (one is built when absent; one built from other ``bathy``, ``params``
-    or ``grid`` raises ``ValueError``).
+    ``A = diag(H)``, ``F = dq/dt - u_bar dH/dt``).  ``F`` leaves the damping
+    ``-c u_bar`` out; ``c`` is reported for implicit treatment.
+    ``first_order`` drops the linear reconstruction (debug mode for
+    convergence tests); ``sources``, a manufactured pair
+    ``(S_H(x, t), S_q(x, t))``, is added verbatim to the core's tendencies.
+    ``debug`` turns on the diagonal-dominance check.  ``context`` is the
+    run's :class:`_RunContext` (one is built when absent; one built from
+    other ``bathy``, ``params`` or ``grid`` raises ``ValueError``).
 
     Returns
     -------
@@ -562,7 +558,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     kappa_ring = _ring_kappa(f, params, tier)
     inviscid = tier is ModelTier.PEREGRINE_INVISCID
     dHdt, dqdt = _core_tendency(f, params, inviscid, first_order=first_order,
-                                stats=stats, sources=sources)
+                                sources=sources)
     F = dqdt - u * dHdt
     if tier is ModelTier.HYDROSTATIC:
         off, diag = BandedMatrix(np.zeros((3, H.size))), H
@@ -581,14 +577,9 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
         if (diag < offdiag - 1e-12 * diag).any():
             raise AssertionError("inertia operator lost diagonal dominance")
 
-    # ---- pointwise friction ----------------------------------------------
-    fric = _friction_coefficient(f, kappa_ring, params, context, tier)
-    if include_pointwise_friction and fric.any():
-        F = F - fric * u
-
     if not f.all_wet:
         F = np.where(f.wet, F, 0.0)
-
+    fric = _friction_coefficient(f, kappa_ring, params, context, tier)
     return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
 
 
@@ -623,7 +614,7 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, F):
         sub, X, Y, sup = _operator_parts(z_ring, coeff1[ring], coeff2[ring],
                                          H**2 / 2.0 - f.eta * H, H, zbx, dx,
                                          boundary)
-        off = BandedMatrix.from_stencils({-1: sub, 1: sup}, boundary)
+        off = BandedMatrix.from_stencils(sub, sup, boundary)
     else:
         X, Y, off = context.bed_operator(f)
 
@@ -639,9 +630,8 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, F):
             F = F - _centered_difference((z_ring**2 / 2.0) * mixed, dx)
             F = F + zbx * zb * _interior(mixed)
     else:  # NONHYDRO2
-        m_ring = _centered_difference(zp * up, dx)  # d(z_b u)/dx
-        divq_ring = _centered_difference(Hp * up, dx)
-        deta_dt_ring = f.bed_rate - divq_ring
+        m_ring = f.m_ring  # d(z_b u)/dx
+        deta_dt_ring = f.bed_rate - f.divq_ring
 
         # stationary quadratic-velocity pressure work
         F = F + _nh2_stationary_extras(f, kappa_ring, params)
@@ -664,10 +654,9 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, F):
             F = F - 0.5 * f.bed_accel * _centered_difference(H_ring**2, dx)
 
         if friction:
-            etax_ring = _centered_difference(etap, dx)
             fluxg = kappa_ring * H_ring * (
                 (H_ring / 6.0) * s_ring
-                - ((7.0 / 6.0) * zbx_ring + etax_ring / 3.0) * u_ring)
+                - ((7.0 / 6.0) * zbx_ring + f.etax_ring / 3.0) * u_ring)
             F = F + _centered_difference(fluxg, dx)
             F = F + kappa * zbx * ((0.5 * _interior(f.Hx_ring) + zbx) * u
                                    + (H / 2.0) * s)

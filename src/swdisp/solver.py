@@ -64,27 +64,18 @@ class BandedMatrix:
         return self.bands.shape[1]
 
     @classmethod
-    def from_stencils(cls, stencils, boundary):
-        """Assemble from per-row stencil diagonals.
+    def from_stencils(cls, sub, sup, boundary):
+        """Off-diagonal bands of a tridiagonal operator, with a zero diagonal.
 
-        ``stencils[k][i]`` is the coefficient of unknown ``i + k`` in row
-        ``i`` (``|k| <= 1``; a missing offset is zero).  The two ghost
-        references (row 0 to unknown -1, row n-1 to unknown n) follow
-        ``boundary``: periodic wraps them into the corners, wall treats the
-        ghost unknowns as zero (drops the entry), copy folds them onto the
-        diagonal.
+        ``sub[i]`` and ``sup[i]`` are the coefficients of unknowns ``i - 1``
+        and ``i + 1`` in row ``i``.  The two ghost references (``sub[0]`` to
+        unknown -1, ``sup[-1]`` to unknown n) follow ``boundary``: periodic
+        wraps them into the corners, wall treats the ghost unknowns as zero
+        (drops the entry), copy folds them onto the diagonal.  The caller
+        adds the diagonal to ``bands[1]``.
         """
-        arrays = {int(k): np.asarray(v, dtype=float) for k, v in stencils.items()}
-        if not set(arrays) <= {-1, 0, 1}:
-            raise ValueError("stencil offset exceeds bandwidth 1")
-        n = next(iter(arrays.values())).size
-        if any(v.size != n for v in arrays.values()):
-            raise ValueError("stencil arrays must share one length")
-        zero = np.zeros(n)
-        sub, sup = arrays.get(-1, zero), arrays.get(1, zero)
-        bands = np.zeros((3, n))
+        bands = np.zeros((3, len(sub)))
         bands[0, 1:] = sup[:-1]
-        bands[1] = arrays.get(0, zero)
         bands[2, :-1] = sub[1:]
         low, high = sub[0], sup[-1]
         corners = ()
@@ -233,24 +224,23 @@ def stable_dt(state, params, grid, controls, *, context=None):
     return min(controls.dt_max, controls.cfl * grid.dx / speed)
 
 
-def _stage(state, bathy, params, grid, tier, dt, *, stats, sources,
-           first_order, debug, context):
-    """One explicit-flux / implicit-friction Euler stage."""
+def _stage(state, context, tier, dt, *, sources, first_order, debug):
+    """One explicit-flux / implicit-friction Euler stage: the new state and
+    the number of face depths and new depths clamped to zero."""
     H0 = state.H
     f = context.fields(state)
 
     system = assemble_dispersive(
-        state, bathy, params, grid, tier,
-        include_pointwise_friction=False, first_order=first_order,
-        stats=stats, sources=sources, debug=debug, context=context)
+        state, context.bathy, context.params, context.grid, tier,
+        first_order=first_order, sources=sources, debug=debug,
+        context=context)
     a = system.A.solve(system.F, check=debug)
 
     H1 = H0 + dt * system.dHdt
     negative = H1 < 0.0
+    clamps = f.face_clamps
     if negative.any():
-        if stats is not None:
-            stats["positivity_clamps"] = (stats.get("positivity_clamps", 0)
-                                          + int(np.count_nonzero(negative)))
+        clamps += int(np.count_nonzero(negative))
         H1 = np.where(negative, 0.0, H1)
 
     u1 = f.u + dt * a
@@ -259,7 +249,7 @@ def _stage(state, bathy, params, grid, tier, dt, *, stats, sources,
         H_safe = H0 if f.all_wet else np.where(f.wet, H0, 1.0)
         u1 = u1 / (1.0 + dt * (system.friction / H_safe))
     u1 = np.where(H1 >= DRY_THRESHOLD, u1, 0.0)
-    return FlowState(t=state.t + dt, H=H1, q=H1 * u1)
+    return FlowState(t=state.t + dt, H=H1, q=H1 * u1), clamps
 
 
 def step(state, bathy, params, grid, tier, dt, *, stats=None, sources=None,
@@ -273,11 +263,13 @@ def step(state, bathy, params, grid, tier, dt, *, stats=None, sources=None,
     built from other ``bathy``, ``params`` or ``grid`` raises ``ValueError``).
     """
     context = _RunContext.of(context, bathy, params, grid)
-    kw = dict(stats=stats, sources=sources, first_order=first_order,
-              debug=debug, context=context)
+    kw = dict(sources=sources, first_order=first_order, debug=debug)
     u0 = context.fields(state).u
-    s1 = _stage(state, bathy, params, grid, tier, dt, **kw)
-    s2 = _stage(s1, bathy, params, grid, tier, dt, **kw)
+    s1, clamps1 = _stage(state, context, tier, dt, **kw)
+    s2, clamps2 = _stage(s1, context, tier, dt, **kw)
+    if stats is not None and clamps1 + clamps2:
+        stats["positivity_clamps"] = (stats.get("positivity_clamps", 0)
+                                      + clamps1 + clamps2)
     H_new = 0.5 * (state.H + s2.H)
     u_new = 0.5 * (u0 + s2.velocity())
     u_new = np.where(H_new >= DRY_THRESHOLD, u_new, 0.0)
@@ -326,9 +318,14 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     crossing of a multiple of that interval.  The run is deterministic:
     no wall-clock or randomized decisions enter the loop.  A NaN or
     infinite ``H`` or ``q`` in the initial or any later state raises
-    :class:`SolverError` with the step, time and first bad cell.
+    :class:`SolverError` with the step, time and first bad cell.  A
+    negative or NaN ``snapshot_interval`` raises ``ValueError``.
     """
     from .diagnostics import attach_measured_rates, energy_reports
+
+    if snapshot_interval is not None and not snapshot_interval >= 0.0:
+        raise ValueError("snapshot_interval must be non-negative, got "
+                         f"{snapshot_interval}")
 
     context = _RunContext(bathy, params, grid)
     block = max(1, _REPORT_BLOCK_CELLS // grid.n_cells)

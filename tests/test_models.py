@@ -130,17 +130,34 @@ def test_mass_tendency_sums_to_zero_on_periodic_domain(tier):
     assert abs(np.sum(dHdt) * grid.dx) <= 1e-13
 
 
-def test_positivity_clamp_is_counted():
+def test_positivity_clamp_is_counted(monkeypatch):
+    """Face depths clamped by the hydrostatic reconstruction are counted in
+    ``step(stats=)``, here where no stage's new depth ``H + dt dH/dt`` goes
+    negative, so the count comes from the faces alone."""
+    import swdisp.solver as solver
+    from swdisp.core import SampledBed
+
     grid = Grid(0.0, 1.0, 16)
     # bed spike poking through the surface forces a clamped reconstruction
     zb = np.full(16, -1.0)
     zb[8] = 0.5
-    from swdisp.core import SampledBed
     bathy = BathymetryField(SampledBed(zb))
     H = np.maximum(0.0, 0.0 - zb)
-    state = FlowState(t=0.0, H=H, q=0.2 * H)
+    state = FlowState(t=0.0, H=H, q=np.zeros(16))
+    dt = 1e-3
+    new_depths = []
+
+    def spy(s, *args, **kwargs):
+        system = assemble_dispersive(s, *args, **kwargs)
+        new_depths.append(s.H + dt * system.dHdt)
+        return system
+
+    monkeypatch.setattr(solver, "assemble_dispersive", spy)
     stats = {}
-    hydrostatic_tendency(state, bathy, PhysicalParams(g=G, nu=1e-3), grid, stats=stats)
+    solver.step(state, bathy, PhysicalParams(g=G, nu=1e-3), grid,
+                ModelTier.HYDROSTATIC, dt, stats=stats)
+    assert len(new_depths) == 2
+    assert min(h.min() for h in new_depths) >= 0.0
     assert stats.get("positivity_clamps", 0) > 0
 
 
@@ -203,8 +220,9 @@ def test_lake_at_rest_dispersive_rhs_vanishes(tier, boundary):
 
 def test_vanishing_bottom_reduces_to_hydrostatic():
     """z_b == 0 annihilates every dispersive term: A = diag(H) and F equals
-    the hydrostatic right-hand side, which is what the hydrostatic tier
-    assembles on any bed."""
+    the hydrostatic right-hand side once the pointwise damping ``-c u``,
+    which ``F`` leaves out, is added: what the hydrostatic tier assembles
+    on any bed."""
     grid = Grid(0.0, 2.0, 40)
     bathy = BathymetryField(FlatBed(level=0.0))
     params = PhysicalParams(g=G, nu=2e-3, k_l=0.01, k_t=0.02)
@@ -217,7 +235,8 @@ def test_vanishing_bottom_reduces_to_hydrostatic():
     for tier in (ModelTier.NONHYDRO1, ModelTier.HYDROSTATIC):
         sys = assemble_dispersive(state, bathy, params, grid, tier)
         np.testing.assert_allclose(sys.A.todense(), np.diag(H), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(sys.F, F_hydro, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sys.F - sys.friction * u, F_hydro,
+                                   rtol=0, atol=1e-14)
         np.testing.assert_allclose(sys.dHdt, dHdt, rtol=0, atol=0.0)
 
 
@@ -399,8 +418,9 @@ def test_dry_cells_are_decoupled(tier, boundary):
 def test_wet_operator_equals_assembly_from_its_stencils(tier, boundary):
     """On a wet state the NonHydro1/PeregrineInviscid operator reuses the
     run's off-diagonal band rows: its bands and corners must equal, bit
-    for bit, ``BandedMatrix.from_stencils`` of the same stencils, also for
-    a second state assembled with the same context."""
+    for bit, ``BandedMatrix.from_stencils`` of the same off-diagonal
+    stencils plus the same diagonal, also for a second state assembled
+    with the same context."""
     from swdisp.models import _bed_operator, _RunContext
     from swdisp.solver import BandedMatrix
 
@@ -415,8 +435,8 @@ def test_wet_operator_equals_assembly_from_its_stencils(tier, boundary):
         f = context.fields(state)
         sub, X, Y, sup = _bed_operator(f.zp, context.zbx_ring, grid.dx,
                                        boundary)
-        want = BandedMatrix.from_stencils({-1: sub, 0: f.H - X - Y, 1: sup},
-                                          boundary)
+        want = BandedMatrix.from_stencils(sub, sup, boundary)
+        want.bands[1] += f.H - X - Y
         got = assemble_dispersive(state, bathy, params, grid, tier,
                                   context=context).A
         np.testing.assert_array_equal(got.bands, want.bands)

@@ -42,6 +42,16 @@ def random_stencils(n, rng, strength=4.0):
     return stencils
 
 
+def banded_from_stencils(stencils, boundary):
+    """``from_stencils`` of the off-diagonals of ``stencils`` (offsets -1
+    and 1; a missing offset is zero) with its diagonal added."""
+    zero = np.zeros(len(next(iter(stencils.values()))))
+    A = BandedMatrix.from_stencils(stencils.get(-1, zero),
+                                   stencils.get(1, zero), boundary)
+    A.bands[1] += stencils.get(0, zero)
+    return A
+
+
 def dense_from_stencils(stencils, n, boundary):
     A = np.zeros((n, n))
     for k, coeffs in stencils.items():
@@ -64,7 +74,7 @@ def test_banded_solve_matches_dense(boundary):
         stencils = random_stencils(n, rng)
         if n == 13:  # diagonal-only: solved by division
             stencils = {0: stencils[0]}
-        A = BandedMatrix.from_stencils(stencils, boundary)
+        A = banded_from_stencils(stencils, boundary)
         dense = dense_from_stencils(stencils, n, boundary)
         np.testing.assert_allclose(A.todense(), dense, atol=1e-14)
         b = rng.standard_normal(n)
@@ -76,7 +86,7 @@ def test_banded_solve_matches_dense(boundary):
 def test_banded_solve_residual_check():
     rng = np.random.default_rng(3)
     n = 40
-    A = BandedMatrix.from_stencils(random_stencils(n, rng), Boundary.PERIODIC)
+    A = banded_from_stencils(random_stencils(n, rng), Boundary.PERIODIC)
     b = rng.standard_normal(n)
     x = A.solve(b, check=True)  # must not raise for a well-conditioned system
     assert np.max(np.abs(A.matvec(x) - b)) <= 1e-10 * np.max(np.abs(b))
@@ -84,11 +94,8 @@ def test_banded_solve_residual_check():
 
 def test_banded_bandwidth_fields():
     stencils = random_stencils(16, np.random.default_rng(0))
-    A = BandedMatrix.from_stencils(stencils, Boundary.PERIODIC)
+    A = banded_from_stencils(stencils, Boundary.PERIODIC)
     assert A.n == 16 and A.bands.shape == (3, 16)  # bandwidth 1
-    stencils[2] = stencils[1]
-    with pytest.raises(ValueError):
-        BandedMatrix.from_stencils(stencils, Boundary.PERIODIC)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
@@ -100,7 +107,7 @@ def test_decouple_gives_identity_rows_and_columns(boundary):
     n = 12
     for cut in ([3], [4, 5, 9], [0, 1], [10, 11], [0, 6, 11]):
         stencils = random_stencils(n, rng)
-        A = BandedMatrix.from_stencils(stencils, boundary)
+        A = banded_from_stencils(stencils, boundary)
         dense = dense_from_stencils(stencils, n, boundary)
         dense[cut, :] = dense[:, cut] = 0.0
         dense[cut, cut] = 1.0
@@ -122,10 +129,42 @@ def test_singular_system_raises_solver_error(boundary, offsets):
     stencils = {k: v for k, v in random_stencils(n, rng).items() if k in offsets}
     for coeffs in stencils.values():
         coeffs[5] = 0.0  # row 5 vanishes
-    A = BandedMatrix.from_stencils(stencils, boundary)
+    A = banded_from_stencils(stencils, boundary)
     assert bool(A.corners) == (boundary is Boundary.PERIODIC and len(offsets) == 3)
     with pytest.raises(SolverError):
         A.solve(rng.standard_normal(n))
+
+
+_NONFINITE_CASES = [
+    (boundary, where, value)
+    for boundary in Boundary
+    for where in ("sub", "diag", "sup", "b")
+    + (("upper", "lower") if boundary is Boundary.PERIODIC else ())
+    for value in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("boundary,where,value", _NONFINITE_CASES)
+def test_non_finite_input_raises_solver_error_with_fixed_text(boundary, where,
+                                                               value):
+    """A NaN or infinity in any band, either periodic corner or the
+    right-hand side stops the solve with one text, which the CLI and the
+    run's error reports quote."""
+    rng = np.random.default_rng(6)
+    n = 10
+    A = banded_from_stencils(random_stencils(n, rng), boundary)
+    b = rng.standard_normal(n)
+    if where == "b":
+        b[4] = value
+    elif where in ("upper", "lower"):
+        corners = list(A.corners)
+        corners[where == "lower"] = value
+        A.corners = tuple(corners)
+    else:
+        A.bands[{"sup": 0, "diag": 1, "sub": 2}[where], 4] = value
+    with pytest.raises(SolverError) as err:
+        A.solve(b)
+    assert str(err.value) == ("banded solve failed: array must not contain "
+                              "infs or NaNs")
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +327,27 @@ def test_non_finite_state_raises_solver_error(tier):
                        StepControls(t_end=0.1))
     assert "non-finite" in str(err.value)
     assert "cell 5" in str(err.value)
+
+
+@pytest.mark.parametrize("interval", [-0.05, np.nan])
+def test_invalid_snapshot_interval_is_refused_before_the_first_step(
+        interval, monkeypatch):
+    """A negative interval would move the next snapshot mark backwards for
+    ever; it and NaN are refused before any step is taken (a step taken
+    fails the test at once instead of letting the run hang)."""
+    import swdisp.solver as solver
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("run_simulation took a step")
+
+    grid = Grid(0.0, 10.0, 32, Boundary.PERIODIC)
+    bathy = BathymetryField(FlatBed(level=-1.0))
+    monkeypatch.setattr(solver, "step", no_step)
+    with pytest.raises(ValueError, match="snapshot_interval"):
+        solver.run_simulation(lake_at_rest(grid, bathy), bathy,
+                              PhysicalParams(nu=1e-3), grid,
+                              ModelTier.HYDROSTATIC, StepControls(t_end=0.1),
+                              snapshot_interval=interval)
 
 
 def _counting(counts, name, fn):
