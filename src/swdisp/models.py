@@ -10,9 +10,14 @@ Every tier poses one implicit problem ``A[a] = F`` for the acceleration
 explicit forcings.  For the hydrostatic tier ``A = diag(H)``.  The
 dispersive tiers reuse the hydrostatic tendencies for their advective core
 and add the inertia of the non-hydrostatic pressure, which makes ``A``
-tridiagonal.  Every tier builds ``A`` one way: a copy of the tier's
-off-diagonal bands (boundary folded in; all zero for Hydrostatic) plus the
-state's diagonal, with dry cells then cut out of the bands.
+tridiagonal.  Every tier builds ``A`` one way: the stage's own
+off-diagonal bands (boundary folded in; all zero for Hydrostatic; a copy of
+the run's for NonHydro1 and PeregrineInviscid) with the state's diagonal
+added in place, and dry cells then cut out of the bands.  NonHydro2 adds
+its explicit dispersive forcings in one form,
+``D(H G) + dz_b/dx (P - D(H B))`` with ``D`` the centred difference: every
+pure-divergence flux is summed over ``H`` into ``G`` and the bottom-pressure
+flux into ``B`` before the two are differenced.
 
 A run keeps what it does not change in one private :class:`_RunContext`:
 the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
@@ -180,7 +185,7 @@ class _RunContext:
     dispersive friction's bed factor ``1 + 5/2 (dz_b/dx)^2``.
     :meth:`fields` returns the last bundle again for the same state object,
     so a state must not be mutated after its fields were taken, and
-    :meth:`bed_operator` the last operator again for the same ``b``.
+    :meth:`bed_operator` a copy of the last operator for the same ``b``.
     Bundles hold no reference back to the context: a context built per
     call is then freed at once, not by the cyclic garbage collector.
     """
@@ -243,8 +248,9 @@ class _RunContext:
 
     def bed_operator(self, f):
         """``(X, Y, off)`` of the bed in ``f``, built once per ``b``:
-        :func:`_bed_operator`'s diagonal parts and the ``BandedMatrix`` of
-        its off-diagonals with a zero diagonal (boundary folds aside)."""
+        :func:`_bed_operator`'s diagonal parts and a copy, the caller's to
+        change, of the ``BandedMatrix`` of its off-diagonals with a zero
+        diagonal (boundary folds aside)."""
         from .solver import BandedMatrix
 
         b, parts = self._operator
@@ -253,7 +259,8 @@ class _RunContext:
                                            self.boundary)
             parts = (X, Y, BandedMatrix.from_stencils(sub, sup, self.boundary))
             self._operator = (f.bed_offset, parts)
-        return parts
+        X, Y, off = parts
+        return X, Y, BandedMatrix(off.bands.copy(), off.corners)
 
     def _build(self, t, H, q, b, bed_rate, bed_accel):
         bc = self.boundary
@@ -491,18 +498,16 @@ def _operator_parts(zc, coeff1_cells, coeff2_cells, slope_c1, slope_c2, zbx,
     centered differences.  ``coeff*``/``zc`` are width-1-ring arrays;
     ``zbx``/``slope_*`` are real-cell arrays.
     """
-    c1_face_R = 0.5 * (coeff1_cells[1:-1] + coeff1_cells[2:])
-    c1_face_L = 0.5 * (coeff1_cells[1:-1] + coeff1_cells[:-2])
-    c2_face_R = 0.5 * (coeff2_cells[1:-1] + coeff2_cells[2:])
-    c2_face_L = 0.5 * (coeff2_cells[1:-1] + coeff2_cells[:-2])
+    c1_face = 0.5 * (coeff1_cells[:-1] + coeff1_cells[1:])  # faces 0 .. n
+    c2_face = 0.5 * (coeff2_cells[:-1] + coeff2_cells[1:])
+    if boundary is Boundary.WALL:
+        # no dispersive flux through a wall face
+        c1_face[0] = c1_face[-1] = c2_face[0] = c2_face[-1] = 0.0
+    c1_face_L, c1_face_R = c1_face[:-1], c1_face[1:]
+    c2_face_L, c2_face_R = c2_face[:-1], c2_face[1:]
     zc_mid = zc[1:-1]
     zc_R = zc[2:]
     zc_L = zc[:-2]
-
-    if boundary is Boundary.WALL:
-        # no dispersive flux through a wall face
-        c1_face_L[0] = c2_face_L[0] = 0.0
-        c1_face_R[-1] = c2_face_R[-1] = 0.0
 
     inv_dx2 = 1.0 / dx**2
     inv_2dx = 1.0 / (2.0 * dx)
@@ -561,12 +566,11 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
                                 sources=sources)
     F = dqdt - u * dHdt
     if tier is ModelTier.HYDROSTATIC:
-        off, diag = BandedMatrix(np.zeros((3, H.size))), H
+        A, diag = BandedMatrix(np.zeros((3, H.size))), H
     else:
-        off, diag, F = _dispersive_terms(f, context, params, tier,
-                                         kappa_ring, F)
-    A = BandedMatrix(off.bands.copy(), off.corners)
-    A.bands[1] += diag
+        A, diag, F = _dispersive_terms(f, context, params, tier,
+                                       kappa_ring, F)
+    A.bands[1] += diag  # the bands are this stage's own
     if not f.all_wet:
         A.decouple(~f.wet)
 
@@ -585,7 +589,14 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
 
 def _dispersive_terms(f, context, params, tier, kappa_ring, F):
     """Off-diagonal ``BandedMatrix`` and diagonal of ``A``, and ``F`` (the
-    advective core's on entry) with the dispersive forcings added."""
+    advective core's on entry, updated in place) with the dispersive
+    forcings added.
+
+    NonHydro2's forcings take one form, ``F += D(H G) + dz_b/dx (P - D(H B))``
+    with ``D`` the centred difference: ``G`` gathers every pure-divergence
+    flux, ``B`` the bottom-pressure flux (both over ``H``, on the width-1
+    ring), and ``P`` the pointwise terms that the bed slope multiplies.
+    """
     from .solver import BandedMatrix
 
     dx, boundary = f.dx, context.boundary
@@ -593,107 +604,88 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, F):
 
     # ---- shared discrete fields -----------------------------------------
     ring = slice(1, -1)
-    Hp, up, zp, etap = f.Hp, f.up, f.zp, f.etap
     s_ring = f.ux_ring  # du/dx at cells -1..n
     zbx_ring = f.zbx_ring
-    u_ring = up[ring]
-    H_ring = Hp[ring]
-    z_ring = zp[ring]
+    u_ring = f.up[ring]
+    H_ring = f.Hp[ring]
+    z_ring = f.zp[ring]
 
     s = _interior(s_ring)
     zbx = _interior(zbx_ring)
     kappa = None if kappa_ring is None else _interior(kappa_ring)
     friction = kappa is not None and kappa.any()
 
-    # ---- operator --------------------------------------------------------
-    if tier is ModelTier.NONHYDRO2:
-        # A[a] = H a + d/dx((H^3/6 - eta H^2/2) da/dx + (H^2/2) d(z_b a)/dx)
-        #            + dz_b/dx ((H^2/2 - eta H) da/dx + H d(z_b a)/dx)
-        coeff1 = Hp**3 / 6.0 - etap * Hp**2 / 2.0
-        coeff2 = Hp**2 / 2.0
-        sub, X, Y, sup = _operator_parts(z_ring, coeff1[ring], coeff2[ring],
-                                         H**2 / 2.0 - f.eta * H, H, zbx, dx,
-                                         boundary)
-        off = BandedMatrix.from_stencils(sub, sup, boundary)
-    else:
+    if tier is not ModelTier.NONHYDRO2:  # NonHydro1, PeregrineInviscid
         X, Y, off = context.bed_operator(f)
-
-    # ---- explicit dispersive forcings ------------------------------------
-    if tier in (ModelTier.NONHYDRO1, ModelTier.PEREGRINE_INVISCID):
         if friction:
             flux_k = (kappa_ring / 6.0) * z_ring * (z_ring * s_ring
                                                     + 7.0 * zbx_ring * u_ring)
-            F = F + _centered_difference(flux_k, dx)
-            F = F - (kappa / 2.0) * zbx * (zb * s - zbx * u)
+            F += _centered_difference(flux_k, dx)
+            F -= (kappa / 2.0) * zbx * (zb * s - zbx * u)
         if f.bed_rate != 0.0:
             mixed = f.bed_rate * s_ring          # d/dx(u db/dt)
-            F = F - _centered_difference((z_ring**2 / 2.0) * mixed, dx)
-            F = F + zbx * zb * _interior(mixed)
-    else:  # NONHYDRO2
-        m_ring = f.m_ring  # d(z_b u)/dx
-        deta_dt_ring = f.bed_rate - f.divq_ring
+            F -= _centered_difference((z_ring**2 / 2.0) * mixed, dx)
+            F += zbx * zb * _interior(mixed)
+        return off, H - X - Y, F
 
-        # stationary quadratic-velocity pressure work
-        F = F + _nh2_stationary_extras(f, kappa_ring, params)
+    # ---- NonHydro2 operator ----------------------------------------------
+    # A[a] = H a + d/dx((H^3/6 - eta H^2/2) da/dx + (H^2/2) d(z_b a)/dx)
+    #            + dz_b/dx ((H^2/2 - eta H) da/dx + H d(z_b a)/dx)
+    eta_ring = f.etap[ring]
+    coeff2 = 0.5 * (H_ring * H_ring)
+    sub, X, Y, sup = _operator_parts(
+        z_ring, coeff2 * (H_ring / 3.0 - eta_ring), coeff2,
+        _interior(coeff2) - f.eta * H, H, zbx, dx, boundary)
+    off = BandedMatrix.from_stencils(sub, sup, boundary)
 
-        # time-derivative-bearing depth-averaged pressure part
-        P1_ring = -H_ring * deta_dt_ring * (etap[ring] * s_ring - m_ring)
-        F = F - _centered_difference(P1_ring, dx)
-        # and its bottom-pressure partner
-        pb = (_interior(deta_dt_ring) * _interior(m_ring)
-              - f.eta * _interior(deta_dt_ring) * s
-              + _interior(deta_dt_ring) * f.bed_rate)
-        F = F - zbx * pb
-
-        if f.bed_rate != 0.0:
-            mixed = f.bed_rate * s_ring
-            F = F - _centered_difference((H_ring**2 / 2.0) * mixed, dx)
-            F = F - zbx * H * _interior(mixed)
-        if f.bed_accel != 0.0:
-            F = F + zb * zbx * f.bed_accel
-            F = F - 0.5 * f.bed_accel * _centered_difference(H_ring**2, dx)
-
-        if friction:
-            fluxg = kappa_ring * H_ring * (
-                (H_ring / 6.0) * s_ring
-                - ((7.0 / 6.0) * zbx_ring + f.etax_ring / 3.0) * u_ring)
-            F = F + _centered_difference(fluxg, dx)
-            F = F + kappa * zbx * ((0.5 * _interior(f.Hx_ring) + zbx) * u
-                                   + (H / 2.0) * s)
-
+    # ---- NonHydro2 forcings: G, B and P ------------------------------------
+    G, B = _nh2_stationary_extras(f, kappa_ring, params)
+    # time-derivative pressure: D(H w) and its bottom partner dz_b/dx w
+    deta_dt_ring = f.bed_rate - f.divq_ring
+    w_ring = deta_dt_ring * (eta_ring * s_ring - f.m_ring)
+    G += w_ring
+    P = _interior(w_ring)
+    Hs_ring = H_ring * s_ring
+    if f.bed_rate != 0.0:  # the pressure of u db/dt
+        G -= (0.5 * f.bed_rate) * Hs_ring
+        P = P - f.bed_rate * (_interior(deta_dt_ring) + _interior(Hs_ring))
+    if f.bed_accel != 0.0:
+        G -= (0.5 * f.bed_accel) * H_ring
+        P = P + f.bed_accel * zb
+    if friction:  # the friction gradient
+        G += kappa_ring * (Hs_ring / 6.0 - ((7.0 / 6.0) * zbx_ring
+                                            + f.etax_ring / 3.0) * u_ring)
+        P = P + kappa * ((0.5 * _interior(f.Hx_ring) + zbx) * u
+                         + 0.5 * _interior(Hs_ring))
+    F += _centered_difference(H_ring * G, dx)
+    F += zbx * (P - _centered_difference(H_ring * B, dx))
     return off, H - X - Y, F
 
 
 def _nh2_stationary_extras(f, kappa_ring, params):
-    """Stationary extra momentum tendencies of the fully nonlinear tier.
+    """Stationary extra momentum fluxes of the fully nonlinear tier: ``(G,
+    B)`` over ``H`` on the width-1 ring, whose forcing is
+    ``D(H G) - dz_b/dx D(H B)``.
 
-    The modified-height convective correction plus the quadratic-velocity
-    part of the non-hydrostatic pressure (depth average and bed value), all
-    free of time derivatives.
+    ``G`` holds the modified-height convective correction and the
+    quadratic-velocity part of the depth-averaged non-hydrostatic pressure,
+    ``B`` that of the bottom pressure; both are free of time derivatives.
     """
-    dx = f.dx
-    H_ring = f.Hp[1:-1]
-    u_ring = f.up[1:-1]
-    s_ring, Hx_ring, zbx_ring = f.ux_ring, f.Hx_ring, f.zbx_ring
-    uxx_ring = _cell_curvature(f.up, dx)
+    H, u = f.Hp[1:-1], f.up[1:-1]
+    s, Hx, zbx = f.ux_ring, f.Hx_ring, f.zbx_ring
+    uxx = _cell_curvature(f.up, f.dx)
+    u2 = u * u
+    su = s * u
 
-    depth_avg = (H_ring / 6.0) * (
-        -4.0 * H_ring**2 * s_ring**2
-        - 2.0 * H_ring**2 * u_ring * uxx_ring
-        - 6.0 * H_ring * Hx_ring * s_ring * u_ring
-        + 9.0 * H_ring * zbx_ring * s_ring * u_ring
-        + 3.0 * H_ring * f.zbxx_ring * u_ring**2
-        + 6.0 * zbx_ring * Hx_ring * u_ring**2)
-    depth_avg_x = _centered_difference(depth_avg, dx)
+    # depth average over H: -(1/6) (-4 H^2 s^2 - 2 H^2 u u_xx
+    # - 6 H H_x s u + 9 H z_b' s u + 3 H z_b'' u^2 + 6 z_b' H_x u^2)
+    G = H * (H * (2.0 * s * s + u * uxx) / 3.0 + (Hx - 1.5 * zbx) * su
+             - 0.5 * f.zbxx_ring * u2) - zbx * Hx * u2
     if kappa_ring is not None and params.nu > 0.0:
-        Hm_minus_H = 2.0 * kappa_ring**2 * H_ring**3 / (15.0 * params.nu**2)
-        out = -_centered_difference(Hm_minus_H * u_ring**2, dx) - depth_avg_x
-    else:
-        out = -depth_avg_x
-
-    bottom_ring = (-0.5 * _centered_difference(H_ring**2 * s_ring * u_ring, dx)
-                   + _centered_difference(H_ring * zbx_ring * u_ring**2, dx))
-    return out - _interior(zbx_ring) * bottom_ring
+        # modified height H_m - H = 2 kappa^2 H^3 / (15 nu^2)
+        kH = kappa_ring * H
+        G -= (2.0 / (15.0 * params.nu**2)) * (kH * kH * u2)
+    return G, zbx * u2 - 0.5 * H * su
 
 
 def steady_residual(state, bathy, params, grid, tier):
@@ -713,5 +705,9 @@ def steady_residual(state, bathy, params, grid, tier):
     kappa_ring = _ring_kappa(f, params)
     dqdt = _core_tendency(f, params, False, kappa_ring=kappa_ring)[1]
     if tier is ModelTier.NONHYDRO2:
-        dqdt = dqdt + _nh2_stationary_extras(f, kappa_ring, params)
+        G, B = _nh2_stationary_extras(f, kappa_ring, params)
+        H_ring = f.Hp[1:-1]
+        dqdt = (dqdt + _centered_difference(H_ring * G, f.dx)
+                - _interior(f.zbx_ring) * _centered_difference(H_ring * B,
+                                                               f.dx))
     return dqdt

@@ -5,7 +5,9 @@ residuals.
 Oracle strategy: the flat-bottom implicit operator is compared against an
 independently constructed dense matrix; stationary difference terms for the
 fully nonlinear tier are re-assembled here with separate centered-difference
-code; balance properties are asserted at machine precision.
+code; NonHydro2's forcing and operator are compared with their terms
+written out one by one; balance properties are asserted at machine
+precision.
 """
 
 import tracemalloc
@@ -469,3 +471,132 @@ def test_friction_coefficient_carries_bed_factor_of_viscous_dispersive_tiers():
         np.testing.assert_allclose(coeff, hydro * factor, rtol=1e-14, atol=0)
         system = assemble_dispersive(state, bathy, params, grid, tier)
         np.testing.assert_array_equal(system.friction, coeff)
+
+
+def _nh2_term_by_term(f, kappa_ring, params):
+    """NonHydro2's dispersive forcing and stationary extras, one centred
+    difference and one bed-slope product per term, each product rebuilt
+    where it is used."""
+    dx = f.dx
+
+    def D(ring):  # centred difference of a width-1-ring array
+        return (ring[2:] - ring[:-2]) / (2.0 * dx)
+
+    mid = slice(1, -1)
+    H, u, zb = f.H, f.u, f.zb
+    H_ring, u_ring, eta_ring = f.Hp[mid], f.up[mid], f.etap[mid]
+    s_ring, Hx_ring, zbx_ring = f.ux_ring, f.Hx_ring, f.zbx_ring
+    uxx_ring = (f.up[2:] - 2.0 * f.up[1:-1] + f.up[:-2]) / dx**2
+    s, zbx = s_ring[mid], zbx_ring[mid]
+
+    depth_avg = (H_ring / 6.0) * (
+        -4.0 * H_ring**2 * s_ring**2
+        - 2.0 * H_ring**2 * u_ring * uxx_ring
+        - 6.0 * H_ring * Hx_ring * s_ring * u_ring
+        + 9.0 * H_ring * zbx_ring * s_ring * u_ring
+        + 3.0 * H_ring * f.zbxx_ring * u_ring**2
+        + 6.0 * zbx_ring * Hx_ring * u_ring**2)
+    extras = -D(depth_avg)
+    if kappa_ring is not None and params.nu > 0.0:
+        Hm_minus_H = 2.0 * kappa_ring**2 * H_ring**3 / (15.0 * params.nu**2)
+        extras = extras - D(Hm_minus_H * u_ring**2)
+    extras = extras - zbx * (-0.5 * D(H_ring**2 * s_ring * u_ring)
+                             + D(H_ring * zbx_ring * u_ring**2))
+
+    F = extras.copy()
+    m_ring = f.m_ring
+    deta_dt_ring = f.bed_rate - f.divq_ring
+    F -= D(-H_ring * deta_dt_ring * (eta_ring * s_ring - m_ring))
+    F -= zbx * (deta_dt_ring[mid] * m_ring[mid]
+                - f.eta * deta_dt_ring[mid] * s
+                + deta_dt_ring[mid] * f.bed_rate)
+    mixed = f.bed_rate * s_ring
+    F -= D((H_ring**2 / 2.0) * mixed)
+    F -= zbx * H * mixed[mid]
+    F += zb * zbx * f.bed_accel
+    F -= 0.5 * f.bed_accel * D(H_ring**2)
+    if kappa_ring is not None:
+        kappa = kappa_ring[mid]
+        F += D(kappa_ring * H_ring * (
+            (H_ring / 6.0) * s_ring
+            - ((7.0 / 6.0) * zbx_ring + f.etax_ring / 3.0) * u_ring))
+        F += kappa * zbx * ((0.5 * Hx_ring[mid] + zbx) * u + (H / 2.0) * s)
+    return F, extras
+
+
+def _nh2_dense_operator(f, boundary):
+    """Dense NonHydro2 inertia operator, row by row from its face fluxes:
+    ``H a + d/dx((H^3/6 - eta H^2/2) a_x + (H^2/2) (z_b a)_x)
+    + z_b' ((H^2/2 - eta H) a_x + H (z_b a)_x)``."""
+    n, dx = f.H.size, f.dx
+    H_ring, eta_ring, z = f.Hp[1:-1], f.etap[1:-1], f.zp[1:-1]
+    c1 = H_ring**3 / 6.0 - eta_ring * H_ring**2 / 2.0
+    c2 = H_ring**2 / 2.0
+    c1_face = 0.5 * (c1[:-1] + c1[1:])  # face j between ring cells j, j+1
+    c2_face = 0.5 * (c2[:-1] + c2[1:])
+    if boundary is Boundary.WALL:
+        c1_face[[0, -1]] = c2_face[[0, -1]] = 0.0
+    H, eta, zbx = f.H, f.eta, f.zbx_ring[1:-1]
+
+    def column(j):  # column of the unknown that ring cell j stands for
+        if 1 <= j <= n:
+            return j - 1
+        if boundary is Boundary.PERIODIC:
+            return (j - 1) % n
+        if boundary is Boundary.COPY:
+            return 0 if j == 0 else n - 1
+        return None  # a wall's ghost unknowns are zero
+
+    A = np.zeros((n, n))
+    for i in range(n):
+        r = i + 1  # ring index of cell i
+        sc1, sc2 = H[i]**2 / 2.0 - eta[i] * H[i], H[i]
+        coeff = {r - 1: (c1_face[r - 1] + c2_face[r - 1] * z[r - 1]) / dx**2
+                 - zbx[i] * (sc1 + sc2 * z[r - 1]) / (2.0 * dx),
+                 r: H[i] - (c1_face[r] + c1_face[r - 1]) / dx**2
+                 - (c2_face[r] + c2_face[r - 1]) * z[r] / dx**2,
+                 r + 1: (c1_face[r] + c2_face[r] * z[r + 1]) / dx**2
+                 + zbx[i] * (sc1 + sc2 * z[r + 1]) / (2.0 * dx)}
+        for j, value in coeff.items():
+            if column(j) is not None:
+                A[i, column(j)] += value
+    return A
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("moving", [False, True])
+@pytest.mark.parametrize("k_t", [0.0, 0.05])
+def test_nonhydro2_forcing_matches_term_by_term_form(boundary, moving, k_t):
+    """NonHydro2's ``F``, ``A`` and ``steady_residual`` equal the sum of
+    their terms written out one by one (:func:`_nh2_term_by_term`, and a
+    dense operator built row by row), to rounding, on a moving wet state
+    over a bump, with and without turbulent friction and bed motion."""
+    from swdisp.core import StaticBed
+    from swdisp.models import _ring_kappa, _RunContext
+
+    grid = Grid(0.0, 10.0, 32, boundary)
+    x = grid.cell_centers
+    bathy = BathymetryField(
+        GaussianBump(center=5.0, width=1.0, amplitude=0.3, level=-1.0),
+        SinusoidMotion(amplitude=0.01, angular_frequency=2.0, phase=0.4)
+        if moving else StaticBed())
+    params = PhysicalParams(g=G, nu=1e-3, k_l=1e-2, k_t=k_t)
+    t = 0.3
+    H = 0.05 * np.exp(-0.5 * (x - 3.0)**2) - bathy.elevation(x, t)
+    u = 0.1 * np.sin(0.2 * np.pi * x) + 0.05 * np.cos(0.7 * x)
+    state = FlowState(t=t, H=H, q=H * u)
+    tier = ModelTier.NONHYDRO2
+
+    f = _RunContext(bathy, params, grid).fields(state)
+    kappa_ring = _ring_kappa(f, params, tier)
+    forcing, extras = _nh2_term_by_term(f, kappa_ring, params)
+    hydro = assemble_dispersive(state, bathy, params, grid,
+                                ModelTier.HYDROSTATIC)
+    system = assemble_dispersive(state, bathy, params, grid, tier)
+    residual = steady_residual(state, bathy, params, grid, tier)
+    want_residual = steady_residual(state, bathy, params, grid,
+                                    ModelTier.HYDROSTATIC) + extras
+    for got, want in ((system.F, hydro.F + forcing),
+                      (system.A.todense(), _nh2_dense_operator(f, boundary)),
+                      (residual, want_residual)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
