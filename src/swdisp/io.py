@@ -397,7 +397,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 
 def _initial_eta(init, grid):
+    """Initial free surface of every kind but ``Manufactured``."""
     x = grid.cell_centers
+    if isinstance(init, LakeAtRest):
+        return np.full_like(x, init.eta0)
+    if isinstance(init, DamBreak):
+        return np.where(x < init.x0, init.eta_left, init.eta_right)
     if isinstance(init, MonochromaticWave):
         return init.amplitude * np.sin(init.k * (x - grid.x_min))
     if isinstance(init, GaussianHump):
@@ -409,30 +414,18 @@ def _initial_eta(init, grid):
 def build_initial_state(cfg: ScenarioConfig) -> FlowState:
     """Realize the configured initial condition at ``t = 0``."""
     x = cfg.grid.cell_centers
-    zb = cfg.bathymetry.elevation(x, 0.0)
     init = cfg.initial
-    if isinstance(init, LakeAtRest):
-        H = np.maximum(init.eta0 - zb, 0.0)
-        q = np.zeros_like(H)
-    elif isinstance(init, DamBreak):
-        eta = np.where(x < init.x0, init.eta_left, init.eta_right)
-        H = np.maximum(eta - zb, 0.0)
-        q = np.zeros_like(H)
-    elif isinstance(init, MonochromaticWave):
-        eta = _initial_eta(init, cfg.grid)
-        still = -zb
-        H = np.maximum(eta - zb, 0.0)
-        u = np.sqrt(cfg.params.g / still) * eta
-        q = H * u
-    elif isinstance(init, GaussianHump):
-        eta = _initial_eta(init, cfg.grid)
-        H = np.maximum(eta - zb, 0.0)
-        q = np.zeros_like(H)
-    else:
+    if isinstance(init, Manufactured):
         from .manufactured import get_case
         case = get_case(init.case)
         H = case.exact_H(x, 0.0)
-        q = H * case.exact_u(x, 0.0)
+        return FlowState(t=0.0, H=H, q=H * case.exact_u(x, 0.0))
+    zb = cfg.bathymetry.elevation(x, 0.0)
+    eta = _initial_eta(init, cfg.grid)
+    H = np.maximum(eta - zb, 0.0)
+    q = np.zeros_like(H)
+    if isinstance(init, MonochromaticWave):  # right-moving linear wave
+        q = H * (np.sqrt(cfg.params.g / -zb) * eta)
     return FlowState(t=0.0, H=H, q=q)
 
 
@@ -559,13 +552,12 @@ def _build_tag() -> str:
         return "unknown"
 
 
-def _derived_columns(state, bathy, params, grid, tier, fields, *,
-                     context=None):
+def _derived_columns(state, context, tier, fields):
     """Compute the requested derived snapshot columns (dict name -> array)
-    from the state's field bundle in ``context`` (built when absent)."""
+    from the state's field bundle in the ``models._RunContext`` ``context``."""
     from . import closures
 
-    context = _RunContext.of(context, bathy, params, grid)
+    bathy, params, grid = context.bathy, context.params, context.grid
     f = context.fields(state)
     x, t, dx, bc = f.x, f.t, f.dx, grid.boundary
     H, u, zb, eta = f.H, f.u, f.zb, f.eta
@@ -613,8 +605,7 @@ def write_snapshot(state, bathy, params, grid, tier, path, fields=()) -> None:
     context = _RunContext(bathy, params, grid)
     f = context.fields(state)
     columns = {"x": f.x, "H": f.H, "u_bar": f.u, "eta": f.eta, "z_b": f.zb}
-    columns.update(_derived_columns(state, bathy, params, grid, tier, ordered,
-                                    context=context))
+    columns.update(_derived_columns(state, context, tier, ordered))
 
     names = ("x", "H", "u_bar", "eta", "z_b") + ordered
     lines = [f"# t={_fmt(state.t)} tier={tier.value} build={_build_tag()}",

@@ -290,21 +290,18 @@ def _fv_core(f, g, *, first_order, include_pressure, sources=None):
     Hc, uc, etac = Hp[1:-1], up[1:-1], etap[1:-1]
 
     # in-cell face-extrapolated values for cells -1 .. n, from half the
-    # unlimited central (Fromm) slopes on H, u, eta (none in first order)
+    # unlimited central (Fromm) slopes on H, u, eta (zero in first order)
     if first_order:
-        H_left_in = H_right_in = Hc
-        u_left_in = u_right_in = uc
-        eta_left_in = eta_right_in = etac
-        z_left_in = z_right_in = etac - Hc
+        hH = hu = heta = 0.0
     else:
         hH = 0.25 * (Hp[2:] - Hp[:-2])
         hu = 0.25 * (up[2:] - up[:-2])
         heta = 0.25 * (etap[2:] - etap[:-2])
-        H_left_in, H_right_in = Hc - hH, Hc + hH
-        u_left_in, u_right_in = uc - hu, uc + hu
-        eta_left_in, eta_right_in = etac - heta, etac + heta
-        z_left_in = eta_left_in - H_left_in
-        z_right_in = eta_right_in - H_right_in
+    H_left_in, H_right_in = Hc - hH, Hc + hH
+    u_left_in, u_right_in = uc - hu, uc + hu
+    eta_left_in, eta_right_in = etac - heta, etac + heta
+    z_left_in = eta_left_in - H_left_in
+    z_right_in = eta_right_in - H_right_in
 
     # face j (j = 0 .. n) sits between ring cells j-1 and j
     H_L = H_right_in[:-1]
@@ -358,7 +355,7 @@ def _fv_core(f, g, *, first_order, include_pressure, sources=None):
     else:
         dqdt = (flux_q[:-1] - flux_q[1:]) / dx
         # non-conservative surface-gradient form of the pressure
-        dqdt -= g * f.H * _centered_difference(etap[1:-1], dx)
+        dqdt -= g * f.H * _interior(f.etax_ring)
 
     # moving bottom: a rising bed displaces no depth-averaged mass directly
     # (H evolves only through the flux divergence) but shows up in eta; all
@@ -536,8 +533,7 @@ def _bed_operator(zp, zbx_ring, dx, boundary):
 
 
 def assemble_dispersive(state, bathy, params, grid, tier, *,
-                        first_order=False, sources=None, debug=False,
-                        context=None):
+                        first_order=False, sources=None, context=None):
     """Build the implicit system ``A[a] = F`` of a tier.
 
     Parameters mirror :func:`hydrostatic_tendency`; ``tier`` selects the
@@ -547,9 +543,9 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     ``first_order`` drops the linear reconstruction (debug mode for
     convergence tests); ``sources``, a manufactured pair
     ``(S_H(x, t), S_q(x, t))``, is added verbatim to the core's tendencies.
-    ``debug`` turns on the diagonal-dominance check.  ``context`` is the
-    run's :class:`_RunContext` (one is built when absent; one built from
-    other ``bathy``, ``params`` or ``grid`` raises ``ValueError``).
+    ``context`` is the run's :class:`_RunContext` (one is built when absent;
+    one built from other ``bathy``, ``params`` or ``grid`` raises
+    ``ValueError``).
 
     Returns
     -------
@@ -573,15 +569,6 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     A.bands[1] += diag  # the bands are this stage's own
     if not f.all_wet:
         A.decouple(~f.wet)
-
-    if debug:  # row sums of |A| in O(n)
-        magnitude = BandedMatrix(np.abs(A.bands), tuple(map(abs, A.corners)))
-        diag = magnitude.bands[1]
-        offdiag = magnitude.matvec(np.ones(A.n)) - diag
-        if (diag < offdiag - 1e-12 * diag).any():
-            raise AssertionError("inertia operator lost diagonal dominance")
-
-    if not f.all_wet:
         F = np.where(f.wet, F, 0.0)
     fric = _friction_coefficient(f, kappa_ring, params, context, tier)
     return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
@@ -657,9 +644,16 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, F):
                                             + f.etax_ring / 3.0) * u_ring)
         P = P + kappa * ((0.5 * _interior(f.Hx_ring) + zbx) * u
                          + 0.5 * _interior(Hs_ring))
-    F += _centered_difference(H_ring * G, dx)
-    F += zbx * (P - _centered_difference(H_ring * B, dx))
-    return off, H - X - Y, F
+    return off, H - X - Y, _add_nh2_forcing(F, f, G, B, P)
+
+
+def _add_nh2_forcing(F, f, G, B, P=0.0):
+    """``F += D(H G) + dz_b/dx (P - D(H B))`` in place, ``D`` the centred
+    difference, ``G`` and ``B`` on the width-1 ring; returns ``F``."""
+    H_ring = f.Hp[1:-1]
+    F += _centered_difference(H_ring * G, f.dx)
+    F += _interior(f.zbx_ring) * (P - _centered_difference(H_ring * B, f.dx))
+    return F
 
 
 def _nh2_stationary_extras(f, kappa_ring, params):
@@ -706,8 +700,5 @@ def steady_residual(state, bathy, params, grid, tier):
     dqdt = _core_tendency(f, params, False, kappa_ring=kappa_ring)[1]
     if tier is ModelTier.NONHYDRO2:
         G, B = _nh2_stationary_extras(f, kappa_ring, params)
-        H_ring = f.Hp[1:-1]
-        dqdt = (dqdt + _centered_difference(H_ring * G, f.dx)
-                - _interior(f.zbx_ring) * _centered_difference(H_ring * B,
-                                                               f.dx))
+        _add_nh2_forcing(dqdt, f, G, B)
     return dqdt

@@ -224,7 +224,7 @@ def stable_dt(state, params, grid, controls, *, context=None):
     return min(controls.dt_max, controls.cfl * grid.dx / speed)
 
 
-def _stage(state, context, tier, dt, *, sources, first_order, debug):
+def _stage(state, context, tier, dt, *, sources, first_order):
     """One explicit-flux / implicit-friction Euler stage: the new state and
     the number of face depths and new depths clamped to zero."""
     H0 = state.H
@@ -232,9 +232,8 @@ def _stage(state, context, tier, dt, *, sources, first_order, debug):
 
     system = assemble_dispersive(
         state, context.bathy, context.params, context.grid, tier,
-        first_order=first_order, sources=sources, debug=debug,
-        context=context)
-    a = system.A.solve(system.F, check=debug)
+        first_order=first_order, sources=sources, context=context)
+    a = system.A.solve(system.F)
 
     H1 = H0 + dt * system.dHdt
     negative = H1 < 0.0
@@ -253,7 +252,7 @@ def _stage(state, context, tier, dt, *, sources, first_order, debug):
 
 
 def step(state, bathy, params, grid, tier, dt, *, stats=None, sources=None,
-         first_order=False, debug=False, context=None):
+         first_order=False, context=None):
     """Advance one time step of size ``dt`` (two-stage average, second order).
 
     Mass is updated in flux form in both stages, so the average conserves it
@@ -263,7 +262,7 @@ def step(state, bathy, params, grid, tier, dt, *, stats=None, sources=None,
     built from other ``bathy``, ``params`` or ``grid`` raises ``ValueError``).
     """
     context = _RunContext.of(context, bathy, params, grid)
-    kw = dict(sources=sources, first_order=first_order, debug=debug)
+    kw = dict(sources=sources, first_order=first_order)
     u0 = context.fields(state).u
     s1, clamps1 = _stage(state, context, tier, dt, **kw)
     s2, clamps2 = _stage(s1, context, tier, dt, **kw)
@@ -281,11 +280,11 @@ class RunResult:
     """Trajectory summary returned by :func:`run_simulation`.
 
     ``states`` holds the initial state, any requested snapshots, and the
-    final state; ``reports`` holds one energy report per step (when
-    collected; computed per block of states once they exist, with the
-    values of a report on each state alone) with measured rates and budget
-    residuals attached; ``stats`` accumulates event counters (steps taken,
-    positivity clamps).
+    final state, ``times`` their times; ``reports`` holds one energy report
+    per step (when collected; computed per block of states once they exist,
+    with the values of a report on each state alone) with measured rates and
+    budget residuals attached; ``stats`` accumulates event counters (steps
+    taken, positivity clamps).
     """
 
     times: list
@@ -309,8 +308,7 @@ def _check_finite(state, step_index):
 
 
 def run_simulation(state, bathy, params, grid, tier, controls, *,
-                   sources=None, snapshot_interval=None, collect_reports=True,
-                   debug=False):
+                   sources=None, snapshot_interval=None, collect_reports=True):
     """Integrate from ``state.t`` to ``controls.t_end``.
 
     ``snapshot_interval=None`` stores only the initial and final states;
@@ -345,7 +343,6 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     s = state.copy()
     _check_finite(s, 0)
     stats = {"steps": 0, "positivity_clamps": 0}
-    times = [s.t]
     states = [s.copy()]
     report(s)
 
@@ -358,24 +355,22 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
         dt = min(dt, t_end - s.t)
         s = step(s, bathy, params, grid, tier, dt, stats=stats,
                  sources=sources, first_order=controls.first_order,
-                 debug=debug, context=context)
+                 context=context)
         stats["steps"] += 1
         _check_finite(s, stats["steps"])
         report(s)
         if snapshot_interval == 0.0:
-            times.append(s.t)
             states.append(s.copy())
         elif next_mark is not None and s.t >= next_mark - guard:
-            times.append(s.t)
             states.append(s.copy())
             while next_mark <= s.t + guard:
                 next_mark += snapshot_interval
 
-    if not times or times[-1] != s.t:
-        times.append(s.t)
+    if states[-1].t != s.t:
         states.append(s.copy())
 
     if collect_reports:
         flush()
         attach_measured_rates(reports)
-    return RunResult(times=times, states=states, reports=reports, stats=stats)
+    return RunResult(times=[st.t for st in states], states=states,
+                     reports=reports, stats=stats)

@@ -221,6 +221,57 @@ def test_run_all_dry_is_a_solver_failure(tmp_path, capsys):
     assert "dry" in capsys.readouterr().err
 
 
+def test_run_lake_below_the_bed_everywhere_exits_3(tmp_path, capsys):
+    cfg = LAKE.replace("eta0 = 0.0", "eta0 = -1.5")  # bed >= -1 everywhere
+    rc = main(["run", "--config", _write(tmp_path, cfg)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "solver failure: cannot size a time step: all cells are dry\n")
+
+
+def test_run_solver_error_exits_3(tmp_path, capsys, monkeypatch):
+    import swdisp.cli as cli
+    from swdisp.solver import SolverError
+
+    def failing_run(*args, **kwargs):
+        raise SolverError("banded solve failed: singular matrix")
+
+    monkeypatch.setattr(cli, "run_simulation", failing_run)
+    rc = main(["run", "--config", _write(tmp_path, LAKE)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "solver failure: banded solve failed: singular matrix\n")
+
+
+def test_run_negative_snapshot_interval_exits_2(tmp_path, capsys):
+    cfg = DAM.replace("snapshot_interval = 0.05", "snapshot_interval = -0.05")
+    rc = main(["run", "--config", _write(tmp_path, cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: output.snapshot_interval must be non-negative\n")
+
+
+def test_debug_first_order_flag_matches_first_order_config(tmp_path, capsys):
+    """``--debug-first-order`` is reported and writes the snapshots of the
+    same config with ``first_order = true``."""
+    first = DAM.replace("t_end = 0.2", "t_end = 0.2\nfirst_order = true")
+    runs = {"flag": (DAM, ["--debug-first-order"]), "config": (first, []),
+            "second": (DAM, [])}
+    snaps = {}
+    for name, (text, extra) in runs.items():
+        out_dir = tmp_path / name
+        rc = main(["run", "--config", _write(tmp_path, text, f"{name}.cfg"),
+                   "--out", str(out_dir)] + extra)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert ("override: first_order -> true" in out) == (name == "flag")
+        snaps[name] = [p.read_bytes()
+                       for p in sorted(out_dir.glob("snapshot_*.csv"))]
+    assert len(snaps["flag"]) >= 4
+    assert snaps["flag"] == snaps["config"]
+    assert snaps["flag"][-1] != snaps["second"][-1]
+
+
 # ---------------------------------------------------------------------------
 # dispersion
 

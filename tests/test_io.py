@@ -25,7 +25,7 @@ from swdisp.io import (ConfigError, DamBreak, GaussianHump, LakeAtRest,
                        ScenarioConfig, build_initial_state, load_config,
                        regime_verdict, write_config, write_manifest,
                        write_snapshot, write_timeseries)
-from swdisp.models import ModelTier
+from swdisp.models import ModelTier, _RunContext
 
 MINIMAL = """\
 [grid]
@@ -625,8 +625,8 @@ def test_snapshot_bytes_match_per_value_formatting(tmp_path, tier):
                    fields=swio.SNAPSHOT_FIELDS)
 
     zb = bathy.elevation(x, state.t)
-    derived = swio._derived_columns(state, bathy, params, grid, tier,
-                                    swio.SNAPSHOT_FIELDS)
+    derived = swio._derived_columns(
+        state, _RunContext(bathy, params, grid), tier, swio.SNAPSHOT_FIELDS)
     columns = [x, H, state.velocity(), zb + H, zb] + [
         derived[name] for name in swio.SNAPSHOT_FIELDS]
     expected = [f"# t=0.25 tier={tier.value} build={swio._build_tag()}",

@@ -350,6 +350,18 @@ def test_invalid_snapshot_interval_is_refused_before_the_first_step(
                               snapshot_interval=interval)
 
 
+def test_zero_snapshot_interval_stores_every_step():
+    grid, bathy, state, params = _bump_run_setup()
+    result = run_simulation(state, bathy, params, grid, ModelTier.NONHYDRO1,
+                            StepControls(t_end=0.05, cfl=0.45),
+                            snapshot_interval=0.0, collect_reports=False)
+    assert result.stats["steps"] > 1
+    assert len(result.states) == result.stats["steps"] + 1
+    assert result.times == [s.t for s in result.states]
+    assert np.all(np.diff(result.times) > 0.0)
+    assert result.times[-1] == 0.05
+
+
 def _counting(counts, name, fn):
     def wrapper(*args, **kwargs):
         counts[name] += 1
