@@ -27,7 +27,7 @@ import numpy as np
 from .core import (BathymetryField, Boundary, FlatBed, FlowState, Grid,
                    PhysicalParams)
 from .diagnostics import convergence_study, measure_dispersion
-from .io import (ConfigError, LakeAtRest, build_initial_state, load_config,
+from .io import (ConfigError, build_initial_state, load_config,
                  validate_config, write_manifest, write_snapshot,
                  write_timeseries)
 from .models import DRY_THRESHOLD, ModelTier, steady_residual
@@ -457,10 +457,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as err:
+    except (SolverError, ValueError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -140,9 +140,6 @@ class FlatBed:
     def slope(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def curvature(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-
 
 @dataclass(frozen=True)
 class GaussianBump:
@@ -167,17 +164,13 @@ class GaussianBump:
         s = self._arg(x)
         return -self.amplitude * s / self.width * np.exp(-0.5 * s**2)
 
-    def curvature(self, x: np.ndarray) -> np.ndarray:
-        s = self._arg(x)
-        return self.amplitude * (s**2 - 1.0) / self.width**2 * np.exp(-0.5 * s**2)
-
 
 @dataclass(frozen=True)
 class SampledBed:
     """Tabulated bottom profile aligned with the grid cell centers.
 
-    Spatial derivatives use centered differences in the interior and
-    one-sided differences at the ends (``np.gradient`` semantics).
+    Its slope uses centered differences in the interior and one-sided
+    differences at the ends (``np.gradient`` semantics).
     """
 
     values: np.ndarray
@@ -200,10 +193,6 @@ class SampledBed:
     def slope(self, x: np.ndarray) -> np.ndarray:
         x = self._check(x)
         return np.gradient(self.values, x)
-
-    def curvature(self, x: np.ndarray) -> np.ndarray:
-        x = self._check(x)
-        return np.gradient(np.gradient(self.values, x), x)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +262,9 @@ class GaussianPulseMotion:
 class BathymetryField:
     """Separable bottom elevation ``z_b(x, t) = Z_b(x) + b(t)``.
 
-    All derivatives are exact closed forms for analytic profiles; tabulated
-    profiles use centered differences in space.  By separability the mixed
-    derivatives d^2 z_b/dx dt and d^3 z_b/dx dt^2 vanish identically, so
+    By separability the slope is the profile's ``profile.slope(x)`` at every
+    time, the bed's rates are the motion's ``motion.rate(t)`` and
+    ``motion.accel(t)`` in every cell, and the mixed derivatives vanish, so
     the models carry no mixed-derivative forcing.
     """
 
@@ -285,18 +274,6 @@ class BathymetryField:
 
     def elevation(self, x: np.ndarray, t: float) -> np.ndarray:
         return self.profile.value(x) + self.motion.value(t)
-
-    def slope(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.profile.slope(x)
-
-    def curvature(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self.profile.curvature(x)
-
-    def rate(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.full_like(np.asarray(x, dtype=float), self.motion.rate(t))
-
-    def accel(self, x: np.ndarray, t: float) -> np.ndarray:
-        return np.full_like(np.asarray(x, dtype=float), self.motion.accel(t))
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ from typing import Union
 
 import numpy as np
 
-from .core import (AnalyticPressure, BathymetryField, Boundary, FlatBed,
-                   FlowState, GaussianBump, GaussianPulseMotion,
-                   GradientPressure, Grid, PhysicalParams, RegimeClass,
-                   SampledBed, ScalingRegime, SinusoidMotion, StaticBed,
-                   ZeroPressure, classify_regime)
+from .core import (BathymetryField, Boundary, FlatBed, FlowState,
+                   GaussianBump, GaussianPulseMotion, GradientPressure, Grid,
+                   PhysicalParams, RegimeClass, ScalingRegime, SinusoidMotion,
+                   StaticBed, ZeroPressure, classify_regime)
 from .models import (DRY_THRESHOLD, ModelTier, _centered_difference,
                      _interior, _pad, _RunContext)
 from .solver import StepControls
@@ -417,9 +416,7 @@ def build_initial_state(cfg: ScenarioConfig) -> FlowState:
     init = cfg.initial
     if isinstance(init, Manufactured):
         from .manufactured import get_case
-        case = get_case(init.case)
-        H = case.exact_H(x, 0.0)
-        return FlowState(t=0.0, H=H, q=H * case.exact_u(x, 0.0))
+        return get_case(init.case).initial_state(cfg.grid)
     zb = cfg.bathymetry.elevation(x, 0.0)
     eta = _initial_eta(init, cfg.grid)
     H = np.maximum(eta - zb, 0.0)
@@ -561,7 +558,7 @@ def _derived_columns(state, context, tier, fields):
     f = context.fields(state)
     x, t, dx, bc = f.x, f.t, f.dx, grid.boundary
     H, u, zb, eta = f.H, f.u, f.zb, f.eta
-    zbx = bathy.slope(x, t)
+    zbx = bathy.profile.slope(x)
     zbt = f.bed_rate
     dudx = _interior(f.ux_ring)
 

@@ -251,6 +251,39 @@ def test_run_negative_snapshot_interval_exits_2(tmp_path, capsys):
         "config error: output.snapshot_interval must be non-negative\n")
 
 
+_FLAT_MONOCHROMATIC = LAKE.replace(
+    "profile = gaussian_bump\nlevel = -1.0\ncenter = 5.0\nwidth = 1.0\n"
+    "amplitude = 0.3", "profile = flat\nlevel = 0.0").replace(
+    "kind = lake_at_rest\neta0 = 0.0",
+    "kind = monochromatic_wave\namplitude = 0.0\nk = 0.6283185307179586")
+
+
+@pytest.mark.parametrize("text, message", [
+    (LAKE + "\n[grid]\nn_cells = 32\n",
+     f"line {len(LAKE.splitlines()) + 2}: duplicate section [grid]"),
+    (SMOOTH.replace("amplitude = 0.2", "amplitude = -2.0"),
+     "initial.amplitude: profile leaves negative depth -0.51649 over the bed"),
+    (_FLAT_MONOCHROMATIC,
+     "initial.k: a monochromatic wave needs positive still depth (bed below "
+     "the zero level) everywhere"),
+    (SMOOTH.replace("width = 0.8", "width = 0.0"),
+     "[bathymetry]: bump width must be positive"),
+    (SMOOTH.replace("amplitude = 0.4\n", "amplitude = 0.4\n"
+                    "motion = gaussian_pulse\nmotion_amplitude = 0.1\n"
+                    "motion_t0 = 0.05\nmotion_sigma = 0.0\n"),
+     "[bathymetry]: pulse width sigma must be positive"),
+    (SMOOTH.replace("t_end = 0.1", "t_end = 0.1\nfixed_dt = 0.0"),
+     "[stepping]: fixed_dt must be positive"),
+], ids=["duplicate-section", "negative-depth", "dry-monochromatic",
+        "bump-width", "pulse-sigma", "fixed-dt"])
+def test_run_rejected_config_exits_2(tmp_path, capsys, text, message):
+    """A config that parses but breaks a model constraint stops before the
+    run with exit 2 and one line naming where it breaks."""
+    rc = main(["run", "--config", _write(tmp_path, text)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_debug_first_order_flag_matches_first_order_config(tmp_path, capsys):
     """``--debug-first-order`` is reported and writes the snapshots of the
     same config with ``first_order = true``."""
@@ -355,9 +388,13 @@ def test_converge_unknown_scenario_exits_2(tmp_path, capsys):
     ("dispersion --cells 4", "--cells"),
     ("dispersion --h0 nan", "--h0"),
     ("dispersion --k-values inf", "--k-values"),
+    ("dispersion --k-values abc", "--k-values"),
+    ("dispersion --k-values ,", "--k-values"),
     ("converge --scenario lake-at-rest --grids 4,8", "--grids"),
     ("converge --scenario lake-at-rest --grids 16,16", "--grids"),
     ("converge --scenario lake-at-rest --grids 32,16", "--grids"),
+    ("converge --scenario lake-at-rest --grids 64", "--grids"),
+    ("converge --scenario lake-at-rest --grids a,b", "--grids"),
     ("converge --scenario lake-at-rest --t-end 0", "--t-end"),
     ("converge --scenario manufactured-hydrostatic --t-end -1", "--t-end"),
 ])

@@ -88,7 +88,7 @@ def test_banded_solve_residual_check():
     n = 40
     A = banded_from_stencils(random_stencils(n, rng), Boundary.PERIODIC)
     b = rng.standard_normal(n)
-    x = A.solve(b, check=True)  # must not raise for a well-conditioned system
+    x = A.solve(b)
     assert np.max(np.abs(A.matvec(x) - b)) <= 1e-10 * np.max(np.abs(b))
 
 
@@ -133,6 +133,24 @@ def test_singular_system_raises_solver_error(boundary, offsets):
     assert bool(A.corners) == (boundary is Boundary.PERIODIC and len(offsets) == 3)
     with pytest.raises(SolverError):
         A.solve(rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 256])
+def test_singular_periodic_laplacian_raises(n):
+    """The periodic second difference (diagonal 2, off-diagonals and
+    corners -1) has the constants in its null space.  The corner update's
+    ``1 + v.z`` then comes out of rounding (5.6e-17 for n = 8, 64, 256), not
+    exactly zero, and must still be refused; the same matrix with its
+    diagonal raised by 1e-6 solves."""
+    b = np.sin(np.arange(n))
+    A = banded_from_stencils({-1: -np.ones(n), 0: np.full(n, 2.0),
+                              1: -np.ones(n)}, Boundary.PERIODIC)
+    with pytest.raises(SolverError) as err:
+        A.solve(b)
+    assert str(err.value) == "banded solve failed: singular matrix"
+    A.bands[1] += 1e-6
+    x = A.solve(b)
+    assert np.max(np.abs(A.matvec(x) - b)) <= 1e-9
 
 
 _NONFINITE_CASES = [
