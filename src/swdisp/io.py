@@ -30,7 +30,7 @@ from .core import (BathymetryField, Boundary, FlatBed, FlowState,
                    StaticBed, ZeroPressure, classify_regime)
 from .models import (DRY_THRESHOLD, ModelTier, _centered_difference,
                      _interior, _pad, _RunContext)
-from .solver import StepControls
+from .solver import StepControls, _load_dgtsv
 
 __all__ = [
     "ConfigError", "LakeAtRest", "DamBreak", "MonochromaticWave",
@@ -393,6 +393,15 @@ def validate_config(cfg: ScenarioConfig) -> None:
             get_case(init.case)
         except ValueError as err:
             raise ConfigError(f"initial.case: {err}") from None
+    if not (isinstance(init, Manufactured)
+            or np.any(_initial_eta(init, cfg.grid) - zb >= DRY_THRESHOLD)):
+        key = {LakeAtRest: "eta0", DamBreak: "eta_left"}.get(type(init),
+                                                           "amplitude")
+        raise ConfigError(f"initial.{key}: no cell is wet at t = 0 (every "
+                          f"depth is below {DRY_THRESHOLD:g})")
+    # a dispersive scenario loads LAPACK in set-up, so no step pays the import
+    if cfg.tier is not ModelTier.HYDROSTATIC:
+        _load_dgtsv()
 
 
 def _initial_eta(init, grid):

@@ -6,7 +6,9 @@ diagonal case.  A diagonal matrix is solved by division, any other by
 LAPACK's tridiagonal solver ``dgtsv`` (:mod:`scipy.linalg.lapack`); periodic
 corners are removed with the cyclic-tridiagonal Sherman-Morrison step
 (Temperton 1975; Numerical Recipes section 2.7), one extra right-hand side
-in the same call.
+in the same call.  scipy's LAPACK is imported at the first tridiagonal
+solve, or when :func:`swdisp.io.validate_config` accepts a dispersive tier,
+so the hydrostatic tier runs without loading it.
 
 Time integration is a two-stage explicit-in-flux, implicit-in-friction
 scheme: each stage advances mass in flux form (exact conservation), solves
@@ -19,11 +21,11 @@ and a state's report, time-step choice and step share one field bundle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import DRY_THRESHOLD, Boundary, FlowState
 from .models import _RunContext, assemble_dispersive
@@ -41,6 +43,14 @@ __all__ = [
 
 class SolverError(RuntimeError):
     """A linear solve failed or was inaccurate, or a run went non-finite."""
+
+
+@functools.cache
+def _load_dgtsv():
+    """LAPACK's ``dgtsv``; importing :mod:`scipy.linalg` takes most of the
+    package's start-up, and only a tridiagonal solve needs it."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
 
 
 @dataclass
@@ -119,8 +129,10 @@ class BandedMatrix:
             y[-1] += self.corners[1] * x[0]
         return y
 
+    @np.errstate(over="ignore", invalid="ignore")
     def solve(self, b):
-        """Solve ``A x = b``; a singular matrix raises :class:`SolverError`.
+        """Solve ``A x = b``; a singular matrix or a solution that is not
+        finite raises :class:`SolverError` (an overflow raises no warning).
 
         A diagonal matrix is solved by division, any other by LAPACK
         ``dgtsv``.  Corners are split off as ``A = T + u v^T`` with
@@ -153,6 +165,7 @@ class BandedMatrix:
                 raise SolverError("banded solve failed: array must not "
                                   "contain infs or NaNs")
             # LAPACK may overwrite only the copies made above
+            dgtsv = _load_dgtsv()
             *_, x, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs,
                                 owned, owned, owned, owned)
             if info > 0:
@@ -164,6 +177,8 @@ class BandedMatrix:
                 if abs(denom) <= 8 * math.ulp(1.0) * scale:
                     raise SolverError("banded solve failed: singular matrix")
                 x = y - ((y[0] + ratio * y[-1]) / denom) * z
+        if not np.isfinite(x).all():
+            raise SolverError("banded solve failed: non-finite solution")
         return x
 
 

@@ -5,7 +5,12 @@
 failure.  Output files and summary lines are parsed back and checked.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,22 +216,25 @@ def test_run_outputs_are_deterministic(tmp_path, capsys):
     assert final_a.read_bytes() == final_b.read_bytes()
 
 
-def test_run_all_dry_is_a_solver_failure(tmp_path, capsys):
+def test_run_all_dry_is_a_config_error(tmp_path, capsys):
     cfg = LAKE.replace("eta0 = 0.0", "eta0 = -2.0")
     cfg = cfg.replace("profile = gaussian_bump", "profile = flat")
     cfg = cfg.replace("level = -1.0\ncenter = 5.0\nwidth = 1.0\namplitude = 0.3",
                       "level = -2.0")
     rc = main(["run", "--config", _write(tmp_path, cfg)])
-    assert rc == 3
-    assert "dry" in capsys.readouterr().err
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: initial.eta0: no cell is wet at t = 0 (every depth is "
+        "below 1e-08)\n")
 
 
-def test_run_lake_below_the_bed_everywhere_exits_3(tmp_path, capsys):
+def test_run_lake_below_the_bed_everywhere_exits_2(tmp_path, capsys):
     cfg = LAKE.replace("eta0 = 0.0", "eta0 = -1.5")  # bed >= -1 everywhere
     rc = main(["run", "--config", _write(tmp_path, cfg)])
-    assert rc == 3
+    assert rc == 2
     assert capsys.readouterr().err == (
-        "solver failure: cannot size a time step: all cells are dry\n")
+        "config error: initial.eta0: no cell is wet at t = 0 (every depth is "
+        "below 1e-08)\n")
 
 
 def test_run_solver_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -274,14 +282,61 @@ _FLAT_MONOCHROMATIC = LAKE.replace(
      "[bathymetry]: pulse width sigma must be positive"),
     (SMOOTH.replace("t_end = 0.1", "t_end = 0.1\nfixed_dt = 0.0"),
      "[stepping]: fixed_dt must be positive"),
+    (DAM.replace("eta_left = 0.2", "eta_left = -1.0").replace(
+        "eta_right = 0.0", "eta_right = -1.0"),
+     "initial.eta_left: no cell is wet at t = 0 (every depth is below 1e-08)"),
 ], ids=["duplicate-section", "negative-depth", "dry-monochromatic",
-        "bump-width", "pulse-sigma", "fixed-dt"])
+        "bump-width", "pulse-sigma", "fixed-dt", "dry-dam-break"])
 def test_run_rejected_config_exits_2(tmp_path, capsys, text, message):
     """A config that parses but breaks a model constraint stops before the
     run with exit 2 and one line naming where it breaks."""
     rc = main(["run", "--config", _write(tmp_path, text)])
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+_SCIPY_PROBE = """\
+import contextlib, io, json, sys
+from pathlib import Path
+import swdisp.cli
+from swdisp.io import load_config
+hydro, nh1, out = sys.argv[1:]
+seen = {"import": "scipy.linalg" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["run_rc"] = swdisp.cli.main(["run", "--config", hydro,
+                                      "--out", out + "/plain"])
+    seen["run"] = "scipy.linalg" in sys.modules
+    sys.modules["scipy.linalg"] = None  # any import of it now fails
+    seen["blocked_rc"] = swdisp.cli.main(["run", "--config", hydro,
+                                          "--out", out + "/blocked"])
+    del sys.modules["scipy.linalg"]
+load_config(nh1)
+seen["nh1_config"] = "scipy.linalg" in sys.modules
+seen["files"] = [sorted(p.name for p in Path(out, d).iterdir())
+                 for d in ("plain", "blocked")]
+print(json.dumps(seen))
+"""
+
+
+def test_hydrostatic_run_never_loads_scipy_linalg(tmp_path):
+    """A Hydrostatic ``run --out`` neither imports scipy's LAPACK nor needs
+    it, while loading a dispersive config does import it, in set-up.  The
+    probe runs in a fresh interpreter, as this one holds scipy already."""
+    nh1 = LAKE.replace("tier = Hydrostatic", "tier = NonHydro1")
+    args = [_write(tmp_path, LAKE), _write(tmp_path, nh1, "nh1.cfg"),
+            str(tmp_path)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] is False
+    assert (seen["run_rc"], seen["run"]) == (0, False)
+    assert seen["blocked_rc"] == 0
+    assert seen["nh1_config"] is True
+    plain, blocked = seen["files"]
+    assert plain == blocked and "manifest.txt" in plain
 
 
 def test_debug_first_order_flag_matches_first_order_config(tmp_path, capsys):

@@ -6,6 +6,8 @@ on independently constructed matrices; fixed points and conservation are
 asserted at machine precision; wave speeds against hand-derived values.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,36 @@ def test_non_finite_input_raises_solver_error_with_fixed_text(boundary, where,
         A.solve(b)
     assert str(err.value) == ("banded solve failed: array must not contain "
                               "infs or NaNs")
+
+
+def _overflowing_system(branch):
+    """A system with finite entries whose solution overflows, for each path
+    of the solve: division, ``dgtsv`` and the periodic corner update."""
+    if branch == "periodic":
+        n = 8
+        A = banded_from_stencils({-1: -np.ones(n), 0: np.full(n, 2.0 + 1e-9),
+                                  1: -np.ones(n)}, Boundary.PERIODIC)
+        return A, np.full(n, 1e300) * np.sin(np.arange(1.0, n + 1.0))
+    sup = np.zeros(4)
+    if branch == "dgtsv":
+        sup[1] = 0.5
+    A = banded_from_stencils({-1: np.zeros(4), 0: np.array([1e-300, 1, 1, 1]),
+                              1: sup}, Boundary.WALL)
+    return A, np.array([1e300, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("branch", ["division", "dgtsv", "periodic"])
+def test_non_finite_solution_raises_solver_error(branch):
+    """Finite inputs whose solution overflows stop the solve with one text,
+    and no floating-point warning escapes."""
+    A, b = _overflowing_system(branch)
+    assert bool(A.corners) == (branch == "periodic")
+    assert A.bands[::2].any() == (branch != "division")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as err:
+            A.solve(b)
+    assert str(err.value) == "banded solve failed: non-finite solution"
 
 
 # ---------------------------------------------------------------------------
