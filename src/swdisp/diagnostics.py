@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closures import depth_integrated_w_squared
-from .models import (ModelTier, _friction_coefficient, _interior,
-                     _ring_kappa, _RunContext)
+from .models import ModelTier, _interior, _ring_kappa, _RunContext
 
 __all__ = [
     "EnergyReport",
@@ -91,7 +90,7 @@ def energy_reports(states, bathy, params, grid, tier, *, context=None):
     context = _RunContext.of(context, bathy, params, grid)
     f = context.block(states)
     x, dx, H, u = f.x, f.dx, f.H, f.u
-    kappa_ring = _ring_kappa(f, params, tier)
+    kappa_ring = _ring_kappa(f, tier)
 
     E_h = H * u**2 / 2 + params.g * H * (f.eta + f.zb) / 2
     if context.zero_pressure:  # no H p_a energy; -(H * 0).sum() is -0.0
@@ -108,9 +107,9 @@ def energy_reports(states, bathy, params, grid, tier, *, context=None):
     dudx = _interior(f.ux_ring)
     if params.nu > 0.0 and tier is not ModelTier.PEREGRINE_INVISCID:
         rate = rate - (4.0 * params.nu * H * dudx**2).sum(axis=-1) * dx
+    # kappa_eff u^2 also for NonHydro1/2, whose stages damp with the bed factor
     if kappa_ring is not None:
-        coeff = _friction_coefficient(f, kappa_ring, params)
-        rate = rate - (coeff * u**2).sum(axis=-1) * dx
+        rate = rate - (f.kappa_eff * u**2).sum(axis=-1) * dx
     # a bed at rest does no work (adding its 0.0 would turn -0.0 into 0.0)
     work = (params.g * H * f.bed_rate).sum(axis=-1) * dx
     rate = np.where(f.bed_rate[:, 0] != 0.0, rate + work, rate)

@@ -24,6 +24,7 @@ from typing import Union
 
 import numpy as np
 
+from . import __version__
 from .core import (BathymetryField, Boundary, FlatBed, FlowState,
                    GaussianBump, GaussianPulseMotion, GradientPressure, Grid,
                    PhysicalParams, RegimeClass, ScalingRegime, SinusoidMotion,
@@ -551,11 +552,7 @@ def _build_tag() -> str:
             return proc.stdout.strip()
     except (OSError, subprocess.SubprocessError):
         pass
-    try:
-        from importlib.metadata import version
-        return "v" + version("artifact")
-    except Exception:
-        return "unknown"
+    return "v" + __version__
 
 
 def _derived_columns(state, context, tier, fields):

@@ -24,9 +24,9 @@ the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
 curvature, the dispersive friction's bed factor, and the bed part of
 NonHydro1's and PeregrineInviscid's ``A`` for the last ``b``.  It hands out
 one field bundle (:class:`_Fields`) per state, which carries the state's
-wet mask and, once computed, its wall-law kappa, friction coefficient,
-face-depth clamp count and differences, and for the energy reports one
-bundle per block of states, with one row per state.
+wet mask and derives, once each, its differences, wall-law ``kappa``,
+``kappa_eff`` and atmospheric-pressure gradient, and for the energy reports
+one bundle per block of states, with one row per state.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
@@ -118,12 +118,13 @@ class _Fields:
     ``Hx_ring``, ``etax_ring``, ``divq_ring`` of ``H u`` and ``m_ring`` of
     ``z_b u`` are computed on first use; the bed's are the run's.
     ``bed_offset``, ``bed_rate`` and ``bed_accel`` are ``b``, ``db/dt`` and
-    ``d^2b/dt^2``; ``grad_pa`` is the atmospheric-pressure gradient (None
-    without atmospheric pressure).  ``wet`` is ``H >= DRY_THRESHOLD``;
-    ``kappa_ring`` and ``friction`` (``kappa_eff``) are set on first use by
-    their functions, ``face_clamps`` (face depths clamped to zero) by
-    :func:`_fv_core`.  A block bundle (:meth:`_RunContext.block`) holds one
-    row per state, its times and bed values as columns.
+    ``d^2b/dt^2``; ``wet`` is ``H >= DRY_THRESHOLD``; ``params`` and the
+    bed factor ``1 + 5/2 (dz_b/dx)^2`` are the run's.  The wall-law
+    ``kappa_ring``, ``kappa_eff`` and the atmospheric-pressure gradient
+    ``grad_pa`` are derived on first use, ``face_clamps`` (face depths
+    clamped to zero) set by :func:`_fv_core`.  A block bundle
+    (:meth:`_RunContext.block`) holds one row per state, its times and bed
+    values as columns, and has no ``grad_pa``.
     """
 
     t: float
@@ -144,9 +145,8 @@ class _Fields:
     bed_accel: float
     wet: np.ndarray
     all_wet: bool
-    grad_pa: np.ndarray = None  # set by _RunContext.fields
-    kappa_ring: np.ndarray = None  # set by _ring_kappa
-    friction: np.ndarray = None  # set by _friction_coefficient
+    params: object
+    bed_factor: np.ndarray
     face_clamps: int = 0  # set by _fv_core
 
     @cached_property
@@ -173,6 +173,30 @@ class _Fields:
     def m_ring(self):
         return _centered_difference(self.zp * self.up, self.dx)
 
+    @cached_property
+    def grad_pa(self):
+        """None for a ``ZeroPressure``."""
+        p_atm = self.params.p_atm
+        return (None if isinstance(p_atm, ZeroPressure)
+                else p_atm.grad_x(self.x, self.t))
+
+    @cached_property
+    def kappa_ring(self):
+        """None without wall-law friction (``k_l = k_t = 0``)."""
+        p = self.params
+        return (None if p.k_l == 0.0 and p.k_t == 0.0 else friction_kappa(
+            self.up[..., 1:-1], self.zbx_ring, self.Hp[..., 1:-1], p))
+
+    @cached_property
+    def kappa_eff(self):
+        """Zero on dry cells; None without wall-law friction."""
+        if self.kappa_ring is None:
+            return None
+        kappa, H, nu = _interior(self.kappa_ring), self.H, self.params.nu
+        return (effective_friction(kappa, H, nu) if self.all_wet
+                else np.where(self.wet, effective_friction(
+                    kappa, np.maximum(H, DRY_THRESHOLD), nu), 0.0))
+
 
 class _RunContext:
     """What a run does not change, and the fields of the last state seen.
@@ -180,9 +204,9 @@ class _RunContext:
     Built once per run by :func:`swdisp.solver.run_simulation`, and per
     call by a public function that gets none (see :meth:`of`): the cell
     centres and the padded profile ``Z_b`` with its ring slope and
-    curvature, which ``z_b = Z_b + b(t)`` shares at every time, whether the
-    atmospheric pressure is a ``ZeroPressure``, and on first use the
-    dispersive friction's bed factor ``1 + 5/2 (dz_b/dx)^2``.
+    curvature, which ``z_b = Z_b + b(t)`` shares at every time, the
+    dispersive friction's bed factor ``1 + 5/2 (dz_b/dx)^2``, and whether
+    the atmospheric pressure is a ``ZeroPressure``.
     :meth:`fields` returns the last bundle again for the same state object,
     so a state must not be mutated after its fields were taken, and
     :meth:`bed_operator` a copy of the last operator for the same ``b``.
@@ -199,6 +223,7 @@ class _RunContext:
         self.Zp = _pad(bathy.profile.value(self.x), self.boundary)
         self.zbx_ring = _centered_difference(self.Zp, self.dx)
         self.zbxx_ring = _cell_curvature(self.Zp, self.dx)
+        self.bed_factor = 1.0 + 2.5 * _interior(self.zbx_ring)**2
         self._last = self._operator = (None, None)
 
     @classmethod
@@ -223,14 +248,12 @@ class _RunContext:
         last, f = self._last
         if state is not last:
             f = self._build(state.t, state.H, state.q, *self._bed(state.t))
-            if not self.zero_pressure:
-                f.grad_pa = self.params.p_atm.grad_x(self.x, state.t)
             self._last = (state, f)
         return f
 
     def block(self, states):
-        """One bundle of ``states``, not kept and with no ``grad_pa``: one
-        row per state, ``t`` and the bed values as columns."""
+        """One bundle of ``states``, not kept: one row per state, ``t`` and
+        the bed values as columns."""
         t = np.array([s.t for s in states])[:, None]
         bed = np.array([self._bed(s.t) for s in states]).T[..., None]
         return self._build(t, np.array([s.H for s in states]),
@@ -240,11 +263,6 @@ class _RunContext:
         """``b``, ``db/dt`` and ``d^2b/dt^2`` at time ``t``."""
         m = self.bathy.motion
         return float(m.value(t)), float(m.rate(t)), float(m.accel(t))
-
-    @cached_property
-    def friction_bed_factor(self):
-        """NonHydro1/NonHydro2 factor ``1 + 5/2 (dz_b/dx)^2`` of kappa_eff."""
-        return 1.0 + 2.5 * _interior(self.zbx_ring)**2
 
     def bed_operator(self, f):
         """``(X, Y, off)`` of the bed in ``f``, built once per ``b``:
@@ -274,10 +292,11 @@ class _RunContext:
                        zp=zp, etap=zp + Hp, zbx_ring=self.zbx_ring,
                        zbxx_ring=self.zbxx_ring, bed_offset=b,
                        bed_rate=bed_rate, bed_accel=bed_accel,
-                       wet=wet, all_wet=bool(wet.all()))
+                       wet=wet, all_wet=bool(wet.all()), params=self.params,
+                       bed_factor=self.bed_factor)
 
 
-def _fv_core(f, g, *, first_order, include_pressure, sources=None):
+def _fv_core(f, *, first_order, include_pressure, sources=None):
     """Finite-volume mass/momentum tendencies of the advective core.
 
     With ``include_pressure`` the momentum flux carries ``g H^2 / 2`` with
@@ -285,7 +304,7 @@ def _fv_core(f, g, *, first_order, include_pressure, sources=None):
     without it only ``H u^2`` is fluxed, for tiers that apply the pressure
     gradient in non-conservative form.
     """
-    dx = f.dx
+    dx, g = f.dx, f.params.g
     Hp, up, etap = f.Hp, f.up, f.etap
     Hc, uc, etac = Hp[1:-1], up[1:-1], etap[1:-1]
 
@@ -378,25 +397,25 @@ def _viscous_tendency(Hp, up, dx, nu):
     return (mu[1:] - mu[:-1]) / dx
 
 
-def _core_tendency(f, params, inviscid, *, kappa_ring=None, first_order=False,
+def _core_tendency(f, inviscid, *, damped=False, first_order=False,
                    sources=None):
     """``(dH/dt, dq/dt)`` of the advective core with its explicit forcings.
 
     The viscous tiers flux the hydrostatic pressure and add viscosity; the
     inviscid tier applies the surface gradient in non-conservative form.
-    Both add the atmospheric-pressure gradient.  A ``kappa_ring`` from
-    :func:`_ring_kappa` adds the hydrostatic damping ``-kappa_eff u_bar``.
+    Both add the atmospheric-pressure gradient.  ``damped`` adds the
+    hydrostatic wall-law damping ``-kappa_eff u_bar``.
     """
-    dHdt, dqdt = _fv_core(f, params.g, first_order=first_order,
+    dHdt, dqdt = _fv_core(f, first_order=first_order,
                           include_pressure=not inviscid, sources=sources)
-    if not inviscid and params.nu > 0.0:
-        dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, params.nu)
+    if not inviscid and f.params.nu > 0.0:
+        dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, f.params.nu)
 
     if f.grad_pa is not None and f.grad_pa.any():
         dqdt = dqdt - f.H * f.grad_pa
 
-    if kappa_ring is not None:
-        dqdt = dqdt - _friction_coefficient(f, kappa_ring, params) * f.u
+    if damped and f.kappa_ring is not None:
+        dqdt = dqdt - _friction_coefficient(f, ModelTier.HYDROSTATIC) * f.u
     return dHdt, dqdt
 
 
@@ -408,38 +427,25 @@ def hydrostatic_tendency(state, bathy, params, grid):
     ``Grid`` ``grid``; ``state.t`` fixes the evaluation time for the bed
     and the atmospheric pressure."""
     f = _RunContext(bathy, params, grid).fields(state)
-    return _core_tendency(f, params, False, kappa_ring=_ring_kappa(f, params))
+    return _core_tendency(f, False, damped=True)
 
 
-def _ring_kappa(f, params, tier=None):
-    """Wall-law ``kappa`` on the width-1 ring, evaluated once per bundle.
-
-    ``None`` for the inviscid tier and without wall-law friction
-    (``k_l = k_t = 0``); :func:`friction_kappa` is then not evaluated.
-    """
-    if tier is ModelTier.PEREGRINE_INVISCID or (params.k_l == 0.0
-                                                and params.k_t == 0.0):
-        return None
-    if f.kappa_ring is None:
-        f.kappa_ring = friction_kappa(f.up[..., 1:-1], f.zbx_ring,
-                                      f.Hp[..., 1:-1], params)
-    return f.kappa_ring
+def _ring_kappa(f, tier):
+    """The bundle's wall-law ``kappa`` on the width-1 ring; ``None`` for the
+    inviscid tier, whose ``kappa`` is then not evaluated."""
+    return None if tier is ModelTier.PEREGRINE_INVISCID else f.kappa_ring
 
 
-def _friction_coefficient(f, kappa_ring, params, context=None, tier=None):
-    """Pointwise damping coefficient from :func:`_ring_kappa` (zeros for
-    ``None``): ``kappa_eff``, kept on the bundle, times ``context``'s bed
-    factor for NonHydro1 and NonHydro2."""
-    if kappa_ring is None:
+def _friction_coefficient(f, tier):
+    """Pointwise damping coefficient ``c`` of ``-c u_bar`` for ``tier``:
+    zeros for the inviscid tier and without wall-law friction,
+    ``kappa_eff`` for Hydrostatic, and ``kappa_eff`` times the bed factor
+    ``1 + 5/2 (dz_b/dx)^2`` for NonHydro1 and NonHydro2."""
+    if _ring_kappa(f, tier) is None:
         return np.zeros(f.H.size)
-    if f.friction is None:
-        kappa, H = _interior(kappa_ring), f.H
-        f.friction = (effective_friction(kappa, H, params.nu) if f.all_wet
-                      else np.where(f.wet, effective_friction(
-                          kappa, np.maximum(H, DRY_THRESHOLD), params.nu), 0.0))
-    if tier in (ModelTier.NONHYDRO1, ModelTier.NONHYDRO2):
-        return f.friction * context.friction_bed_factor
-    return f.friction
+    if tier is ModelTier.HYDROSTATIC:
+        return f.kappa_eff
+    return f.kappa_eff * f.bed_factor
 
 
 def pointwise_friction_coefficient(state, bathy, params, grid, tier):
@@ -448,10 +454,8 @@ def pointwise_friction_coefficient(state, bathy, params, grid, tier):
     Hydrostatic: ``kappa_eff``.  Dispersive viscous tiers additionally carry
     the bed-slope enhancement ``(1 + 5/2 (dz_b/dx)^2)``.  Inviscid tier: 0.
     """
-    context = _RunContext(bathy, params, grid)
-    f = context.fields(state)
-    return _friction_coefficient(f, _ring_kappa(f, params, tier), params,
-                                 context, tier)
+    f = _RunContext(bathy, params, grid).fields(state)
+    return _friction_coefficient(f, tier)
 
 
 @dataclass
@@ -556,25 +560,23 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     context = _RunContext.of(context, bathy, params, grid)
     f = context.fields(state)
     H, u = f.H, f.u
-    kappa_ring = _ring_kappa(f, params, tier)
     inviscid = tier is ModelTier.PEREGRINE_INVISCID
-    dHdt, dqdt = _core_tendency(f, params, inviscid, first_order=first_order,
+    dHdt, dqdt = _core_tendency(f, inviscid, first_order=first_order,
                                 sources=sources)
     F = dqdt - u * dHdt
     if tier is ModelTier.HYDROSTATIC:
         A, diag = BandedMatrix(np.zeros((3, H.size))), H
     else:
-        A, diag, F = _dispersive_terms(f, context, params, tier,
-                                       kappa_ring, F)
+        A, diag, F = _dispersive_terms(f, context, tier, F)
     A.bands[1] += diag  # the bands are this stage's own
     if not f.all_wet:
         A.decouple(~f.wet)
         F = np.where(f.wet, F, 0.0)
-    fric = _friction_coefficient(f, kappa_ring, params, context, tier)
-    return DispersiveSystem(A=A, F=F, dHdt=dHdt, friction=fric)
+    return DispersiveSystem(A=A, F=F, dHdt=dHdt,
+                            friction=_friction_coefficient(f, tier))
 
 
-def _dispersive_terms(f, context, params, tier, kappa_ring, F):
+def _dispersive_terms(f, context, tier, F):
     """Off-diagonal ``BandedMatrix`` and diagonal of ``A``, and ``F`` (the
     advective core's on entry, updated in place) with the dispersive
     forcings added.
@@ -599,6 +601,7 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, F):
 
     s = _interior(s_ring)
     zbx = _interior(zbx_ring)
+    kappa_ring = _ring_kappa(f, tier)
     kappa = None if kappa_ring is None else _interior(kappa_ring)
     friction = kappa is not None and kappa.any()
 
@@ -626,7 +629,7 @@ def _dispersive_terms(f, context, params, tier, kappa_ring, F):
     off = BandedMatrix.from_stencils(sub, sup, boundary)
 
     # ---- NonHydro2 forcings: G, B and P ------------------------------------
-    G, B = _nh2_stationary_extras(f, kappa_ring, params)
+    G, B = _nh2_stationary_extras(f)
     # time-derivative pressure: D(H w) and its bottom partner dz_b/dx w
     deta_dt_ring = f.bed_rate - f.divq_ring
     w_ring = deta_dt_ring * (eta_ring * s_ring - f.m_ring)
@@ -656,7 +659,7 @@ def _add_nh2_forcing(F, f, G, B, P=0.0):
     return F
 
 
-def _nh2_stationary_extras(f, kappa_ring, params):
+def _nh2_stationary_extras(f):
     """Stationary extra momentum fluxes of the fully nonlinear tier: ``(G,
     B)`` over ``H`` on the width-1 ring, whose forcing is
     ``D(H G) - dz_b/dx D(H B)``.
@@ -675,10 +678,10 @@ def _nh2_stationary_extras(f, kappa_ring, params):
     # - 6 H H_x s u + 9 H z_b' s u + 3 H z_b'' u^2 + 6 z_b' H_x u^2)
     G = H * (H * (2.0 * s * s + u * uxx) / 3.0 + (Hx - 1.5 * zbx) * su
              - 0.5 * f.zbxx_ring * u2) - zbx * Hx * u2
-    if kappa_ring is not None and params.nu > 0.0:
+    if f.kappa_ring is not None and f.params.nu > 0.0:
         # modified height H_m - H = 2 kappa^2 H^3 / (15 nu^2)
-        kH = kappa_ring * H
-        G -= (2.0 / (15.0 * params.nu**2)) * (kH * kH * u2)
+        kH = f.kappa_ring * H
+        G -= (2.0 / (15.0 * f.params.nu**2)) * (kH * kH * u2)
     return G, zbx * u2 - 0.5 * H * su
 
 
@@ -695,10 +698,9 @@ def steady_residual(state, bathy, params, grid, tier):
     """
     f = _RunContext(bathy, params, grid).fields(state)
     if tier is ModelTier.PEREGRINE_INVISCID:
-        return _core_tendency(f, params, True)[1]
-    kappa_ring = _ring_kappa(f, params)
-    dqdt = _core_tendency(f, params, False, kappa_ring=kappa_ring)[1]
+        return _core_tendency(f, True)[1]
+    dqdt = _core_tendency(f, False, damped=True)[1]
     if tier is ModelTier.NONHYDRO2:
-        G, B = _nh2_stationary_extras(f, kappa_ring, params)
+        G, B = _nh2_stationary_extras(f)
         _add_nh2_forcing(dqdt, f, G, B)
     return dqdt

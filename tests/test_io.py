@@ -8,11 +8,14 @@ values.
 
 import dataclasses
 import itertools
+import re
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swdisp
 import swdisp.io as swio
 from swdisp.core import (BathymetryField, Boundary, FlatBed, FlowState,
                          GaussianBump, GaussianPulseMotion, GradientPressure,
@@ -698,7 +701,15 @@ def test_build_tag_survives_hung_git(monkeypatch):
         tag = swio._build_tag()
     finally:
         swio._build_tag.cache_clear()
-    assert isinstance(tag, str) and tag
+    assert tag == "v" + swdisp.__version__
+
+
+def test_package_version_matches_pyproject():
+    """The build tag's fallback version cannot drift from the package's."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
+                        re.MULTILINE).group(1)
+    assert version == swdisp.__version__
 
 
 def test_manifest_records_regime_verdict(tmp_path):

@@ -606,7 +606,7 @@ def test_nonhydro2_forcing_matches_term_by_term_form(boundary, moving, k_t):
     tier = ModelTier.NONHYDRO2
 
     f = _RunContext(bathy, params, grid).fields(state)
-    kappa_ring = _ring_kappa(f, params, tier)
+    kappa_ring = _ring_kappa(f, tier)
     forcing, extras = _nh2_term_by_term(f, kappa_ring, params)
     hydro = assemble_dispersive(state, bathy, params, grid,
                                 ModelTier.HYDROSTATIC)

@@ -17,9 +17,11 @@ from swdisp.core import (
     FlatBed,
     FlowState,
     GaussianBump,
+    GradientPressure,
     Grid,
     PhysicalParams,
     SinusoidMotion,
+    ZeroPressure,
 )
 from swdisp.models import ModelTier
 from swdisp.solver import (BandedMatrix, SolverError, StepControls, run_simulation,
@@ -444,6 +446,30 @@ def test_step_derives_bed_and_kappa_once_per_stage(tier, monkeypatch):
     step(state, bathy, params, grid, tier, 1e-3)
     assert counts["elevation"] <= 1
     assert counts["friction_kappa"] <= 2
+
+
+@pytest.mark.parametrize("pressure", [ZeroPressure(),
+                                      GradientPressure(slope=1e-3)])
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_run_derives_pressure_gradient_at_most_once_per_state(tier, pressure,
+                                                              monkeypatch):
+    """A run of N steps with reports evaluates the atmospheric-pressure
+    gradient at most once per stage state, 2 N times, and never for a
+    ``ZeroPressure``."""
+    grid, bathy, state, params = _bump_run_setup()
+    params = PhysicalParams(nu=params.nu, k_l=params.k_l, k_t=params.k_t,
+                            p_atm=pressure)
+    counts = {"grad_x": 0}
+    cls = type(pressure)
+    monkeypatch.setattr(cls, "grad_x", _counting(counts, "grad_x", cls.grad_x))
+    n_steps = 10
+    result = run_simulation(state, bathy, params, grid, tier,
+                            StepControls(t_end=n_steps * 1e-3, fixed_dt=1e-3))
+    assert result.stats["steps"] == n_steps
+    if isinstance(pressure, ZeroPressure):
+        assert counts["grad_x"] == 0
+    else:
+        assert 0 < counts["grad_x"] <= 2 * n_steps
 
 
 @pytest.mark.parametrize("tier", list(ModelTier))
