@@ -28,6 +28,13 @@ wet mask and derives, once each, its differences, wall-law ``kappa``,
 ``kappa_eff`` and atmospheric-pressure gradient, and for the energy reports
 one bundle per block of states, with one row per state.
 
+A stage allocates each temporary once and accumulates into it, by augmented
+assignment or ``out=`` into an array the function itself allocated, in the
+order of the plain expression it replaces (only the two operands of one
+``+`` or ``*`` may swap), so the results are bit-identical to it.  It never
+writes into the state, a field bundle or the run context, whose arrays are
+shared between stages, reports and calls.
+
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
 conservation form ``d(H)/dt``, ``d(q)/dt`` with ``q = H u_bar``.
@@ -96,12 +103,18 @@ def _centered_difference(values, dx):
     (``n + 2 * NGHOST`` entries) gives its width-1 ring (cells ``-1 .. n``),
     and a ring array gives the ``n`` real cells.  Taken along the last axis.
     """
-    return (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
+    diff = values[..., 2:] - values[..., :-2]
+    diff /= 2.0 * dx
+    return diff
 
 
 def _cell_curvature(padded, dx):
     """Centered second derivative at the padded interior (width-1 ring)."""
-    return (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / dx**2
+    curv = 2.0 * padded[1:-1]
+    np.subtract(padded[2:], curv, out=curv)
+    curv += padded[:-2]
+    curv /= dx**2
+    return curv
 
 
 def _interior(cellwise):
@@ -296,6 +309,18 @@ class _RunContext:
                        bed_factor=self.bed_factor)
 
 
+def _face_values(cells, padded, first_order):
+    """In-cell values at the left and right faces of cells -1 .. n: the
+    cell value minus and plus half the unlimited central (Fromm) slope,
+    with a zero slope in first order."""
+    if first_order:
+        return cells - 0.0, cells + 0.0
+    half_slope = padded[2:] - padded[:-2]
+    half_slope *= 0.25
+    left = cells - half_slope
+    return left, np.add(cells, half_slope, out=half_slope)
+
+
 def _fv_core(f, *, first_order, include_pressure, sources=None):
     """Finite-volume mass/momentum tendencies of the advective core.
 
@@ -306,25 +331,13 @@ def _fv_core(f, *, first_order, include_pressure, sources=None):
     """
     dx, g = f.dx, f.params.g
     Hp, up, etap = f.Hp, f.up, f.etap
-    Hc, uc, etac = Hp[1:-1], up[1:-1], etap[1:-1]
-
-    # in-cell face-extrapolated values for cells -1 .. n, from half the
-    # unlimited central (Fromm) slopes on H, u, eta (zero in first order)
-    if first_order:
-        hH = hu = heta = 0.0
-    else:
-        hH = 0.25 * (Hp[2:] - Hp[:-2])
-        hu = 0.25 * (up[2:] - up[:-2])
-        heta = 0.25 * (etap[2:] - etap[:-2])
-    H_left_in, H_right_in = Hc - hH, Hc + hH
-    u_left_in, u_right_in = uc - hu, uc + hu
-    eta_left_in, eta_right_in = etac - heta, etac + heta
+    H_left_in, H_right_in = _face_values(Hp[1:-1], Hp, first_order)
+    u_left_in, u_right_in = _face_values(up[1:-1], up, first_order)
+    eta_left_in, eta_right_in = _face_values(etap[1:-1], etap, first_order)
     z_left_in = eta_left_in - H_left_in
     z_right_in = eta_right_in - H_right_in
 
     # face j (j = 0 .. n) sits between ring cells j-1 and j
-    H_L = H_right_in[:-1]
-    H_R = H_left_in[1:]
     u_L = u_right_in[:-1]
     u_R = u_left_in[1:]
     eta_L = eta_right_in[:-1]
@@ -333,48 +346,74 @@ def _fv_core(f, *, first_order, include_pressure, sources=None):
     z_R = z_left_in[1:]
 
     z_face = np.maximum(z_L, z_R)
-    Hs_L_raw = eta_L - z_face
-    Hs_R_raw = eta_R - z_face
-    Hs_L = np.maximum(Hs_L_raw, 0.0)
-    Hs_R = np.maximum(Hs_R_raw, 0.0)
+    Hs_L = eta_L - z_face
+    Hs_R = np.subtract(eta_R, z_face, out=z_face)
     f.face_clamps = 0
-    if Hs_L_raw.min() < 0.0 or Hs_R_raw.min() < 0.0:
-        f.face_clamps = int(np.count_nonzero(Hs_L_raw < 0.0)
-                            + np.count_nonzero(Hs_R_raw < 0.0))
+    if Hs_L.min() < 0.0 or Hs_R.min() < 0.0:
+        f.face_clamps = int(np.count_nonzero(Hs_L < 0.0)
+                            + np.count_nonzero(Hs_R < 0.0))
+    np.maximum(Hs_L, 0.0, out=Hs_L)
+    np.maximum(Hs_R, 0.0, out=Hs_R)
 
     qs_L = Hs_L * u_L
     qs_R = Hs_R * u_R
-    half_lam = 0.5 * np.maximum(np.abs(u_L) + np.sqrt(g * Hs_L),
-                                np.abs(u_R) + np.sqrt(g * Hs_R))
+    # half the largest wave speed, 0.5 max(|u_L| + sqrt(g Hs_L), ...)
+    half_lam = np.abs(u_L)
+    wave = np.multiply(g, Hs_L)  # scratch of face length from here on
+    half_lam += np.sqrt(wave, out=wave)
+    speed_R = np.abs(u_R)
+    np.multiply(g, Hs_R, out=wave)
+    speed_R += np.sqrt(wave, out=wave)
+    np.maximum(half_lam, speed_R, out=half_lam)
+    half_lam *= 0.5
 
-    flux_H = 0.5 * (qs_L + qs_R) - half_lam * (Hs_R - Hs_L)
+    flux_H = qs_L + qs_R
+    flux_H *= 0.5
+    flux_H -= np.multiply(half_lam, np.subtract(Hs_R, Hs_L, out=wave),
+                          out=wave)
+    flux_q = qs_L * u_L
     if include_pressure:
-        Hs_L2, Hs_R2 = Hs_L**2, Hs_R**2
-        flux_q = (0.5 * (qs_L * u_L + 0.5 * g * Hs_L2
-                         + qs_R * u_R + 0.5 * g * Hs_R2)
-                  - half_lam * (qs_R - qs_L))
+        Hs_L2 = np.square(Hs_L, out=Hs_L)  # the depths are not read again
+        Hs_R2 = np.square(Hs_R, out=Hs_R)
+        flux_q += np.multiply(0.5 * g, Hs_L2, out=wave)
+        flux_q += np.multiply(qs_R, u_R, out=wave)
+        flux_q += np.multiply(0.5 * g, Hs_R2, out=wave)
     else:
-        flux_q = (0.5 * (qs_L * u_L + qs_R * u_R)
-                  - half_lam * (qs_R - qs_L))
+        flux_q += np.multiply(qs_R, u_R, out=wave)
+    flux_q *= 0.5
+    flux_q -= np.multiply(half_lam, np.subtract(qs_R, qs_L, out=wave),
+                          out=wave)
 
-    dHdt = (flux_H[:-1] - flux_H[1:]) / dx
+    dHdt = flux_H[:-1] - flux_H[1:]
+    dHdt /= dx
 
     # per-cell face values (cell i owns ring index i+1)
     H_own_left = H_left_in[1:-1]
     H_own_right = H_right_in[1:-1]
-    z_own_left = z_left_in[1:-1]
-    z_own_right = z_right_in[1:-1]
 
     if include_pressure:
-        flux_q_right = flux_q[1:] + 0.5 * g * (H_own_right**2 - Hs_L2[1:])
-        flux_q_left = flux_q[:-1] + 0.5 * g * (H_own_left**2 - Hs_R2[:-1])
-        bed_source = (-g * 0.5 * (H_own_left + H_own_right)
-                      * (z_own_right - z_own_left) / dx)
-        dqdt = (flux_q_left - flux_q_right) / dx + bed_source
+        flux_q_right = H_own_right**2
+        flux_q_right -= Hs_L2[1:]
+        flux_q_right *= 0.5 * g
+        flux_q_right += flux_q[1:]
+        dqdt = H_own_left**2
+        dqdt -= Hs_R2[:-1]
+        dqdt *= 0.5 * g
+        dqdt += flux_q[:-1]  # the left face's flux
+        dqdt -= flux_q_right
+        dqdt /= dx
+        bed_source = H_own_left + H_own_right
+        bed_source *= -g * 0.5
+        bed_source *= z_right_in[1:-1] - z_left_in[1:-1]
+        bed_source /= dx
+        dqdt += bed_source
     else:
-        dqdt = (flux_q[:-1] - flux_q[1:]) / dx
+        dqdt = flux_q[:-1] - flux_q[1:]
+        dqdt /= dx
         # non-conservative surface-gradient form of the pressure
-        dqdt -= g * f.H * _interior(f.etax_ring)
+        surface = g * f.H
+        surface *= _interior(f.etax_ring)
+        dqdt -= surface
 
     # moving bottom: a rising bed displaces no depth-averaged mass directly
     # (H evolves only through the flux divergence) but shows up in eta; all
@@ -382,8 +421,8 @@ def _fv_core(f, *, first_order, include_pressure, sources=None):
 
     if sources is not None:
         src_H, src_q = sources
-        dHdt = dHdt + src_H(f.x, f.t)
-        dqdt = dqdt + src_q(f.x, f.t)
+        dHdt += src_H(f.x, f.t)
+        dqdt += src_q(f.x, f.t)
 
     return dHdt, dqdt
 
@@ -391,10 +430,15 @@ def _fv_core(f, *, first_order, include_pressure, sources=None):
 def _viscous_tendency(Hp, up, dx, nu):
     """Conservative depth-integrated viscous term d/dx(4 nu H du/dx)."""
     # face-centered H and du/dx over faces 0..n built from the width-1 ring
-    Hf = 0.5 * (Hp[1:-2] + Hp[2:-1])
-    dudx_f = (up[2:-1] - up[1:-2]) / dx
-    mu = 4.0 * nu * Hf * dudx_f
-    return (mu[1:] - mu[:-1]) / dx
+    mu = Hp[1:-2] + Hp[2:-1]
+    mu *= 0.5
+    mu *= 4.0 * nu
+    dudx_f = up[2:-1] - up[1:-2]
+    dudx_f /= dx
+    mu *= dudx_f
+    visc = mu[1:] - mu[:-1]
+    visc /= dx
+    return visc
 
 
 def _core_tendency(f, inviscid, *, damped=False, first_order=False,
@@ -409,13 +453,13 @@ def _core_tendency(f, inviscid, *, damped=False, first_order=False,
     dHdt, dqdt = _fv_core(f, first_order=first_order,
                           include_pressure=not inviscid, sources=sources)
     if not inviscid and f.params.nu > 0.0:
-        dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, f.params.nu)
+        dqdt += _viscous_tendency(f.Hp, f.up, f.dx, f.params.nu)
 
     if f.grad_pa is not None and f.grad_pa.any():
-        dqdt = dqdt - f.H * f.grad_pa
+        dqdt -= f.H * f.grad_pa
 
     if damped and f.kappa_ring is not None:
-        dqdt = dqdt - _friction_coefficient(f, ModelTier.HYDROSTATIC) * f.u
+        dqdt -= _friction_coefficient(f, ModelTier.HYDROSTATIC) * f.u
     return dHdt, dqdt
 
 
@@ -499,8 +543,10 @@ def _operator_parts(zc, coeff1_cells, coeff2_cells, slope_c1, slope_c2, zbx,
     centered differences.  ``coeff*``/``zc`` are width-1-ring arrays;
     ``zbx``/``slope_*`` are real-cell arrays.
     """
-    c1_face = 0.5 * (coeff1_cells[:-1] + coeff1_cells[1:])  # faces 0 .. n
-    c2_face = 0.5 * (coeff2_cells[:-1] + coeff2_cells[1:])
+    c1_face = coeff1_cells[:-1] + coeff1_cells[1:]  # faces 0 .. n
+    c1_face *= 0.5
+    c2_face = coeff2_cells[:-1] + coeff2_cells[1:]
+    c2_face *= 0.5
     if boundary is Boundary.WALL:
         # no dispersive flux through a wall face
         c1_face[0] = c1_face[-1] = c2_face[0] = c2_face[-1] = 0.0
@@ -513,12 +559,29 @@ def _operator_parts(zc, coeff1_cells, coeff2_cells, slope_c1, slope_c2, zbx,
     inv_dx2 = 1.0 / dx**2
     inv_2dx = 1.0 / (2.0 * dx)
 
-    sup1 = (c1_face_R + c2_face_R * zc_R) * inv_dx2 \
-        + zbx * (slope_c1 + slope_c2 * zc_R) * inv_2dx
-    X = (c1_face_R + c1_face_L) * inv_dx2
-    Y = (c2_face_R + c2_face_L) * zc_mid * inv_dx2
-    sub1 = (c1_face_L + c2_face_L * zc_L) * inv_dx2 \
-        - zbx * (slope_c1 + slope_c2 * zc_L) * inv_2dx
+    # sup1 = (c1_R + c2_R zc_R) / dx^2 + zbx (slope_c1 + slope_c2 zc_R) / 2dx
+    sup1 = c2_face_R * zc_R
+    sup1 += c1_face_R
+    sup1 *= inv_dx2
+    slope = slope_c2 * zc_R
+    slope += slope_c1
+    slope *= zbx
+    slope *= inv_2dx
+    sup1 += slope
+    X = c1_face_R + c1_face_L
+    X *= inv_dx2
+    Y = c2_face_R + c2_face_L
+    Y *= zc_mid
+    Y *= inv_dx2
+    # sub1 = (c1_L + c2_L zc_L) / dx^2 - zbx (slope_c1 + slope_c2 zc_L) / 2dx
+    sub1 = c2_face_L * zc_L
+    sub1 += c1_face_L
+    sub1 *= inv_dx2
+    np.multiply(slope_c2, zc_L, out=slope)
+    slope += slope_c1
+    slope *= zbx
+    slope *= inv_2dx
+    sub1 -= slope
     return sub1, X, Y, sup1
 
 
@@ -563,7 +626,8 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     inviscid = tier is ModelTier.PEREGRINE_INVISCID
     dHdt, dqdt = _core_tendency(f, inviscid, first_order=first_order,
                                 sources=sources)
-    F = dqdt - u * dHdt
+    F = dqdt  # the core's own array, which the forcings accumulate into
+    F -= u * dHdt
     if tier is ModelTier.HYDROSTATIC:
         A, diag = BandedMatrix(np.zeros((3, H.size))), H
     else:
@@ -571,7 +635,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     A.bands[1] += diag  # the bands are this stage's own
     if not f.all_wet:
         A.decouple(~f.wet)
-        F = np.where(f.wet, F, 0.0)
+        np.copyto(F, 0.0, where=~f.wet)
     return DispersiveSystem(A=A, F=F, dHdt=dHdt,
                             friction=_friction_coefficient(f, tier))
 
@@ -608,54 +672,99 @@ def _dispersive_terms(f, context, tier, F):
     if tier is not ModelTier.NONHYDRO2:  # NonHydro1, PeregrineInviscid
         X, Y, off = context.bed_operator(f)
         if friction:
-            flux_k = (kappa_ring / 6.0) * z_ring * (z_ring * s_ring
-                                                    + 7.0 * zbx_ring * u_ring)
+            # F += D((kappa/6) z (z s + 7 zbx u)) - (kappa/2) zbx (zb s - zbx u)
+            flux_k = kappa_ring / 6.0
+            flux_k *= z_ring
+            inner = 7.0 * zbx_ring
+            inner *= u_ring
+            inner += z_ring * s_ring
+            flux_k *= inner
             F += _centered_difference(flux_k, dx)
-            F -= (kappa / 2.0) * zbx * (zb * s - zbx * u)
+            damp = kappa / 2.0
+            damp *= zbx
+            slope = zb * s
+            slope -= zbx * u
+            damp *= slope
+            F -= damp
         if f.bed_rate != 0.0:
             mixed = f.bed_rate * s_ring          # d/dx(u db/dt)
-            F -= _centered_difference((z_ring**2 / 2.0) * mixed, dx)
-            F += zbx * zb * _interior(mixed)
-        return off, H - X - Y, F
+            flux = z_ring**2
+            flux /= 2.0
+            flux *= mixed
+            F -= _centered_difference(flux, dx)
+            point = zbx * zb
+            point *= _interior(mixed)
+            F += point
+    else:
+        # ---- NonHydro2 operator ------------------------------------------
+        # A[a] = H a + d/dx((H^3/6 - eta H^2/2) da/dx + (H^2/2) d(z_b a)/dx)
+        #            + dz_b/dx ((H^2/2 - eta H) da/dx + H d(z_b a)/dx)
+        eta_ring = f.etap[ring]
+        coeff2 = np.square(H_ring)
+        coeff2 *= 0.5
+        coeff1 = H_ring / 3.0
+        coeff1 -= eta_ring
+        coeff1 *= coeff2
+        slope_c1 = f.eta * H
+        np.subtract(_interior(coeff2), slope_c1, out=slope_c1)
+        sub, X, Y, sup = _operator_parts(z_ring, coeff1, coeff2, slope_c1, H,
+                                         zbx, dx, boundary)
+        off = BandedMatrix.from_stencils(sub, sup, boundary)
 
-    # ---- NonHydro2 operator ----------------------------------------------
-    # A[a] = H a + d/dx((H^3/6 - eta H^2/2) da/dx + (H^2/2) d(z_b a)/dx)
-    #            + dz_b/dx ((H^2/2 - eta H) da/dx + H d(z_b a)/dx)
-    eta_ring = f.etap[ring]
-    coeff2 = 0.5 * (H_ring * H_ring)
-    sub, X, Y, sup = _operator_parts(
-        z_ring, coeff2 * (H_ring / 3.0 - eta_ring), coeff2,
-        _interior(coeff2) - f.eta * H, H, zbx, dx, boundary)
-    off = BandedMatrix.from_stencils(sub, sup, boundary)
-
-    # ---- NonHydro2 forcings: G, B and P ------------------------------------
-    G, B = _nh2_stationary_extras(f)
-    # time-derivative pressure: D(H w) and its bottom partner dz_b/dx w
-    deta_dt_ring = f.bed_rate - f.divq_ring
-    w_ring = deta_dt_ring * (eta_ring * s_ring - f.m_ring)
-    G += w_ring
-    P = _interior(w_ring)
-    Hs_ring = H_ring * s_ring
-    if f.bed_rate != 0.0:  # the pressure of u db/dt
-        G -= (0.5 * f.bed_rate) * Hs_ring
-        P = P - f.bed_rate * (_interior(deta_dt_ring) + _interior(Hs_ring))
-    if f.bed_accel != 0.0:
-        G -= (0.5 * f.bed_accel) * H_ring
-        P = P + f.bed_accel * zb
-    if friction:  # the friction gradient
-        G += kappa_ring * (Hs_ring / 6.0 - ((7.0 / 6.0) * zbx_ring
-                                            + f.etax_ring / 3.0) * u_ring)
-        P = P + kappa * ((0.5 * _interior(f.Hx_ring) + zbx) * u
-                         + 0.5 * _interior(Hs_ring))
-    return off, H - X - Y, _add_nh2_forcing(F, f, G, B, P)
+        # ---- NonHydro2 forcings: G, B and P --------------------------------
+        G, B = _nh2_stationary_extras(f)
+        # time-derivative pressure: D(H w) and its bottom partner dz_b/dx w
+        deta_dt_ring = np.subtract(f.bed_rate, f.divq_ring)
+        w_ring = eta_ring * s_ring
+        w_ring -= f.m_ring
+        w_ring *= deta_dt_ring
+        G += w_ring
+        P = _interior(w_ring)  # w_ring is not read again: P accumulates in it
+        Hs_ring = H_ring * s_ring
+        if f.bed_rate != 0.0:  # the pressure of u db/dt
+            G -= (0.5 * f.bed_rate) * Hs_ring
+            rate = _interior(deta_dt_ring)
+            rate += _interior(Hs_ring)
+            rate *= f.bed_rate
+            P -= rate
+        if f.bed_accel != 0.0:
+            accel = (0.5 * f.bed_accel) * H_ring
+            G -= accel
+            P += np.multiply(f.bed_accel, zb, out=_interior(accel))
+        if friction:  # the friction gradient
+            # G += kappa (Hs / 6 - (7/6 zbx + etax / 3) u)
+            flux_k = Hs_ring / 6.0
+            grad = (7.0 / 6.0) * zbx_ring
+            grad += f.etax_ring / 3.0
+            grad *= u_ring
+            flux_k -= grad
+            flux_k *= kappa_ring
+            G += flux_k
+            # P += kappa ((Hx / 2 + zbx) u + Hs / 2)
+            point = np.multiply(0.5, _interior(f.Hx_ring), out=_interior(grad))
+            point += zbx
+            point *= u
+            point += np.multiply(0.5, _interior(Hs_ring), out=_interior(flux_k))
+            point *= kappa
+            P += point
+        _add_nh2_forcing(F, f, G, B, P)
+    diag = H - X
+    diag -= Y
+    return off, diag, F
 
 
 def _add_nh2_forcing(F, f, G, B, P=0.0):
     """``F += D(H G) + dz_b/dx (P - D(H B))`` in place, ``D`` the centred
-    difference, ``G`` and ``B`` on the width-1 ring; returns ``F``."""
+    difference, ``G`` and ``B`` on the width-1 ring (both overwritten);
+    returns ``F``."""
     H_ring = f.Hp[1:-1]
-    F += _centered_difference(H_ring * G, f.dx)
-    F += _interior(f.zbx_ring) * (P - _centered_difference(H_ring * B, f.dx))
+    G *= H_ring
+    F += _centered_difference(G, f.dx)
+    B *= H_ring
+    slope = _centered_difference(B, f.dx)
+    np.subtract(P, slope, out=slope)
+    slope *= _interior(f.zbx_ring)
+    F += slope
     return F
 
 
@@ -670,19 +779,36 @@ def _nh2_stationary_extras(f):
     """
     H, u = f.Hp[1:-1], f.up[1:-1]
     s, Hx, zbx = f.ux_ring, f.Hx_ring, f.zbx_ring
-    uxx = _cell_curvature(f.up, f.dx)
-    u2 = u * u
+    term = _cell_curvature(f.up, f.dx)  # u_xx, then the scratch of each term
+    u2 = np.square(u)
     su = s * u
 
     # depth average over H: -(1/6) (-4 H^2 s^2 - 2 H^2 u u_xx
-    # - 6 H H_x s u + 9 H z_b' s u + 3 H z_b'' u^2 + 6 z_b' H_x u^2)
-    G = H * (H * (2.0 * s * s + u * uxx) / 3.0 + (Hx - 1.5 * zbx) * su
-             - 0.5 * f.zbxx_ring * u2) - zbx * Hx * u2
+    # - 6 H H_x s u + 9 H z_b' s u + 3 H z_b'' u^2 + 6 z_b' H_x u^2), as
+    # G = H (H (2 s^2 + u u_xx) / 3 + (Hx - 3/2 zbx) s u - zbxx u^2 / 2)
+    #     - zbx Hx u^2
+    G = 2.0 * s
+    G *= s
+    G += np.multiply(u, term, out=term)
+    G *= H
+    G /= 3.0
+    np.multiply(1.5, zbx, out=term)
+    G += np.multiply(np.subtract(Hx, term, out=term), su, out=term)
+    np.multiply(0.5, f.zbxx_ring, out=term)
+    G -= np.multiply(term, u2, out=term)
+    G *= H
+    np.multiply(zbx, Hx, out=term)
+    G -= np.multiply(term, u2, out=term)
     if f.kappa_ring is not None and f.params.nu > 0.0:
         # modified height H_m - H = 2 kappa^2 H^3 / (15 nu^2)
-        kH = f.kappa_ring * H
-        G -= (2.0 / (15.0 * f.params.nu**2)) * (kH * kH * u2)
-    return G, zbx * u2 - 0.5 * H * su
+        kH = np.multiply(f.kappa_ring, H, out=term)
+        np.square(kH, out=kH)
+        kH *= u2
+        G -= np.multiply(2.0 / (15.0 * f.params.nu**2), kH, out=kH)
+    B = np.multiply(zbx, u2, out=u2)  # zbx u^2 - H s u / 2
+    np.multiply(0.5, H, out=term)
+    B -= np.multiply(term, su, out=term)
+    return G, B
 
 
 def steady_residual(state, bathy, params, grid, tier):

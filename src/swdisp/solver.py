@@ -84,8 +84,10 @@ class BandedMatrix:
         (drops the entry), copy folds them onto the diagonal.  The caller
         adds the diagonal to ``bands[1]``.
         """
-        bands = np.zeros((3, len(sub)))
+        bands = np.empty((3, len(sub)))
+        bands[0, 0] = bands[2, -1] = 0.0
         bands[0, 1:] = sup[:-1]
+        bands[1] = 0.0
         bands[2, :-1] = sub[1:]
         low, high = sub[0], sup[-1]
         corners = ()
@@ -228,8 +230,17 @@ def stable_dt(state, params, grid, controls, *, context=None):
     u, H = (state.velocity(), state.H) if f is None else (f.u, f.H)
     if f is None or not f.all_wet:
         u, H = u[wet], H[wet]
-    speed = (np.abs(u) + np.sqrt(params.g * H)).max()
-    return min(controls.dt_max, controls.cfl * grid.dx / speed)
+    speed = np.abs(u)
+    wave = np.multiply(params.g, H)
+    speed += np.sqrt(wave, out=wave)
+    return min(controls.dt_max, controls.cfl * grid.dx / speed.max())
+
+
+def _wet_discharge(H, u):
+    """``H u`` with ``u`` zeroed where ``H < DRY_THRESHOLD`` (or NaN),
+    computed in ``u``, which the caller gives up."""
+    np.copyto(u, 0.0, where=~(H >= DRY_THRESHOLD))
+    return np.multiply(H, u, out=u)
 
 
 def _stage(state, context, tier, dt, *, sources, first_order):
@@ -243,20 +254,24 @@ def _stage(state, context, tier, dt, *, sources, first_order):
         first_order=first_order, sources=sources, context=context)
     a = system.A.solve(system.F)
 
-    H1 = H0 + dt * system.dHdt
+    H1 = dt * system.dHdt
+    H1 += H0
     negative = H1 < 0.0
     clamps = f.face_clamps
     if negative.any():
         clamps += int(np.count_nonzero(negative))
-        H1 = np.where(negative, 0.0, H1)
+        H1[negative] = 0.0
 
-    u1 = f.u + dt * a
+    u1 = dt * a
+    u1 += f.u
     if system.friction.any():  # else the implicit divisor is exactly 1
         # the friction is zero on dry cells, so any nonzero depth stands in
         H_safe = H0 if f.all_wet else np.where(f.wet, H0, 1.0)
-        u1 = u1 / (1.0 + dt * (system.friction / H_safe))
-    u1 = np.where(H1 >= DRY_THRESHOLD, u1, 0.0)
-    return FlowState(t=state.t + dt, H=H1, q=H1 * u1), clamps
+        divisor = system.friction / H_safe
+        divisor *= dt
+        divisor += 1.0
+        u1 /= divisor
+    return FlowState(t=state.t + dt, H=H1, q=_wet_discharge(H1, u1)), clamps
 
 
 def step(state, bathy, params, grid, tier, dt, *, stats=None, sources=None,
@@ -277,10 +292,12 @@ def step(state, bathy, params, grid, tier, dt, *, stats=None, sources=None,
     if stats is not None and clamps1 + clamps2:
         stats["positivity_clamps"] = (stats.get("positivity_clamps", 0)
                                       + clamps1 + clamps2)
-    H_new = 0.5 * (state.H + s2.H)
-    u_new = 0.5 * (u0 + s2.velocity())
-    u_new = np.where(H_new >= DRY_THRESHOLD, u_new, 0.0)
-    return FlowState(t=state.t + dt, H=H_new, q=H_new * u_new)
+    H_new = state.H + s2.H
+    H_new *= 0.5
+    u_new = s2.velocity()
+    u_new += u0
+    u_new *= 0.5
+    return FlowState(t=state.t + dt, H=H_new, q=_wet_discharge(H_new, u_new))
 
 
 @dataclass
@@ -358,21 +375,24 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     guard = 1e-12 * max(1.0, abs(t_end))
     next_mark = s.t + snapshot_interval if snapshot_interval else None
 
-    while s.t < t_end - guard:
-        dt = stable_dt(s, params, grid, controls, context=context)
-        dt = min(dt, t_end - s.t)
-        s = step(s, bathy, params, grid, tier, dt, stats=stats,
-                 sources=sources, first_order=controls.first_order,
-                 context=context)
-        stats["steps"] += 1
-        _check_finite(s, stats["steps"])
-        report(s)
-        if snapshot_interval == 0.0:
-            states.append(s.copy())
-        elif next_mark is not None and s.t >= next_mark - guard:
-            states.append(s.copy())
-            while next_mark <= s.t + guard:
-                next_mark += snapshot_interval
+    # a run that overflows ends with the SolverError of its solve or of
+    # _check_finite; numpy's warnings on the way would add nothing to it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while s.t < t_end - guard:
+            dt = stable_dt(s, params, grid, controls, context=context)
+            dt = min(dt, t_end - s.t)
+            s = step(s, bathy, params, grid, tier, dt, stats=stats,
+                     sources=sources, first_order=controls.first_order,
+                     context=context)
+            stats["steps"] += 1
+            _check_finite(s, stats["steps"])
+            report(s)
+            if snapshot_interval == 0.0:
+                states.append(s.copy())
+            elif next_mark is not None and s.t >= next_mark - guard:
+                states.append(s.copy())
+                while next_mark <= s.t + guard:
+                    next_mark += snapshot_interval
 
     if states[-1].t != s.t:
         states.append(s.copy())

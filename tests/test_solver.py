@@ -696,3 +696,67 @@ def test_peregrine_reports_price_no_friction_or_viscosity():
         np.testing.assert_array_equal(rough.states[-1].q, smooth.states[-1].q)
         assert ([rep.modeled_rate for rep in rough.reports]
                 == [rep.modeled_rate for rep in smooth.reports])
+
+
+@pytest.mark.parametrize("bed", ["static", "moving"])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_step_writes_into_no_array_of_the_state_bundle_or_context(
+        tier, boundary, bed):
+    """A stage accumulates into arrays it allocated: a step leaves every
+    array of the state, of its field bundle (each cached field evaluated
+    first) and of the run context (with the cached bed operator) as it
+    found them."""
+    from swdisp.core import StaticBed
+    from swdisp.models import _RunContext
+
+    grid = Grid(0.0, 10.0, 64, boundary)
+    x = grid.cell_centers
+    bathy = BathymetryField(
+        GaussianBump(center=5.0, width=1.0, amplitude=0.3, level=-1.0),
+        StaticBed() if bed == "static" else SinusoidMotion(
+            amplitude=0.01, angular_frequency=2.0, phase=0.4))
+    params = PhysicalParams(nu=1e-3, k_l=0.01, k_t=0.05,
+                            p_atm=GradientPressure(0.01))
+    H = lake_at_rest(grid, bathy, eta0=0.05 * np.exp(-0.5 * (x - 3.0)**2)).H
+    state = FlowState(t=0.1, H=H, q=0.05 * np.sin(0.2 * np.pi * x) * H)
+    context = _RunContext(bathy, params, grid)
+    f = context.fields(state)
+    for name in ("eta", "ux_ring", "Hx_ring", "etax_ring", "divq_ring",
+                 "m_ring", "kappa_ring", "kappa_eff", "grad_pa"):
+        assert getattr(f, name) is not None
+    held = {f"state.{k}": v for k, v in vars(state).items()}
+    held.update((f"fields.{k}", v) for k, v in vars(f).items())
+    held.update((f"context.{k}", v) for k, v in vars(context).items())
+    if tier in (ModelTier.NONHYDRO1, ModelTier.PEREGRINE_INVISCID):
+        context.bed_operator(f)
+        X, Y, off = context._operator[1]
+        held.update({"operator.X": X, "operator.Y": Y,
+                     "operator.bands": off.bands})
+    held = {k: v for k, v in held.items() if isinstance(v, np.ndarray)}
+    assert len(held) >= 25
+    copies = {k: v.copy() for k, v in held.items()}
+
+    step(state, bathy, params, grid, tier, 1e-3, context=context)
+    for name, value in held.items():
+        np.testing.assert_array_equal(value, copies[name], err_msg=name)
+
+
+def test_blow_up_ends_with_the_solver_error_and_no_numpy_warning():
+    """A NonHydro2 run whose state overflows stops with the SolverError of
+    its solve; the overflows on the way raise no RuntimeWarning."""
+    grid = Grid(0.0, 10.0, 256, Boundary.WALL)
+    x = grid.cell_centers
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.5, level=-1.0))
+    eta = 0.05 * np.exp(-0.5 * ((x - 3.0) / 0.5)**2)
+    H = lake_at_rest(grid, bathy, eta0=eta).H
+    s0 = FlowState(t=0.0, H=H, q=0.1 * H)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverError, match="banded solve failed: array "
+                           "must not contain infs or NaNs"):
+            run_simulation(s0, bathy, PhysicalParams(nu=1e-3, k_l=0.01),
+                           grid, ModelTier.NONHYDRO2,
+                           StepControls(t_end=0.5, cfl=0.45))
+    assert [str(w.message) for w in caught] == []
