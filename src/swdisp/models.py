@@ -313,7 +313,7 @@ def _face_values(cells, padded, first_order):
     """In-cell values at the left and right faces of cells -1 .. n: the
     cell value minus and plus half the unlimited central (Fromm) slope,
     with a zero slope in first order."""
-    if first_order:
+    if first_order:  # fresh arrays; ``+ 0.0`` turns -0 into +0
         return cells - 0.0, cells + 0.0
     half_slope = padded[2:] - padded[:-2]
     half_slope *= 0.25
@@ -755,8 +755,7 @@ def _dispersive_terms(f, context, tier, F):
 
 def _add_nh2_forcing(F, f, G, B, P=0.0):
     """``F += D(H G) + dz_b/dx (P - D(H B))`` in place, ``D`` the centred
-    difference, ``G`` and ``B`` on the width-1 ring (both overwritten);
-    returns ``F``."""
+    difference, ``G`` and ``B`` on the width-1 ring (both overwritten)."""
     H_ring = f.Hp[1:-1]
     G *= H_ring
     F += _centered_difference(G, f.dx)
@@ -765,7 +764,6 @@ def _add_nh2_forcing(F, f, G, B, P=0.0):
     np.subtract(P, slope, out=slope)
     slope *= _interior(f.zbx_ring)
     F += slope
-    return F
 
 
 def _nh2_stationary_extras(f):
