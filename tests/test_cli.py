@@ -311,7 +311,11 @@ with contextlib.redirect_stdout(io.StringIO()):
                                           "--out", out + "/blocked"])
     del sys.modules["scipy.linalg"]
 load_config(nh1)
-seen["nh1_config"] = "scipy.linalg" in sys.modules
+from swdisp import solver
+seen["nh1_cached"] = solver._load_dgtsv.cache_info().currsize
+seen["nh1_modules"] = [m in sys.modules for m in ("scipy.linalg", "numpy.f2py")]
+import scipy.linalg.lapack
+seen["same_dgtsv"] = scipy.linalg.lapack.dgtsv is solver._load_dgtsv()
 seen["files"] = [sorted(p.name for p in Path(out, d).iterdir())
                  for d in ("plain", "blocked")]
 print(json.dumps(seen))
@@ -320,8 +324,10 @@ print(json.dumps(seen))
 
 def test_hydrostatic_run_never_loads_scipy_linalg(tmp_path):
     """A Hydrostatic ``run --out`` neither imports scipy's LAPACK nor needs
-    it, while loading a dispersive config does import it, in set-up.  The
-    probe runs in a fresh interpreter, as this one holds scipy already."""
+    it, while loading a dispersive config loads ``dgtsv`` in set-up without
+    importing scipy.linalg or numpy.f2py; it is the routine
+    scipy.linalg.lapack exports.  The probe runs in a fresh interpreter, as
+    this one holds scipy already."""
     nh1 = LAKE.replace("tier = Hydrostatic", "tier = NonHydro1")
     args = [_write(tmp_path, LAKE), _write(tmp_path, nh1, "nh1.cfg"),
             str(tmp_path)]
@@ -334,7 +340,9 @@ def test_hydrostatic_run_never_loads_scipy_linalg(tmp_path):
     assert seen["import"] is False
     assert (seen["run_rc"], seen["run"]) == (0, False)
     assert seen["blocked_rc"] == 0
-    assert seen["nh1_config"] is True
+    assert seen["nh1_cached"] == 1
+    assert seen["nh1_modules"] == [False, False]
+    assert seen["same_dgtsv"] is True
     plain, blocked = seen["files"]
     assert plain == blocked and "manifest.txt" in plain
 

@@ -6,6 +6,7 @@ on independently constructed matrices; fixed points and conservation are
 asserted at machine precision; wave speeds against hand-derived values.
 """
 
+import importlib.machinery
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from swdisp.core import (
     SinusoidMotion,
     ZeroPressure,
 )
+from swdisp import solver
 from swdisp.models import ModelTier
 from swdisp.solver import (BandedMatrix, SolverError, StepControls, run_simulation,
                            stable_dt, step)
@@ -85,6 +87,38 @@ def test_banded_solve_matches_dense(boundary):
         x = A.solve(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-11, atol=1e-13)
         np.testing.assert_allclose(A.matvec(x), b, rtol=1e-10, atol=1e-12)
+
+
+def test_dgtsv_fallback_is_the_routine_of_scipy_linalg_lapack(monkeypatch):
+    """Where scipy's ``_flapack`` is not found under ``scipy/linalg``,
+    ``_load_dgtsv`` takes ``dgtsv`` from :mod:`scipy.linalg.lapack`, and
+    Periodic, Wall and Copy solves equal those of the direct load."""
+    import scipy.linalg.lapack
+    rng = np.random.default_rng(1)
+    systems = [(banded_from_stencils(random_stencils(50, rng), boundary),
+                rng.standard_normal(50))
+               for boundary in (Boundary.PERIODIC, Boundary.WALL,
+                                Boundary.COPY)]
+    find_spec, asked = importlib.machinery.PathFinder.find_spec, []
+
+    def no_flapack(cls, name, path=None, target=None):
+        asked.append(name)
+        if name == "scipy.linalg._flapack":
+            return None
+        return find_spec(name, path, target)
+
+    solver._load_dgtsv.cache_clear()
+    try:
+        direct = [A.solve(b) for A, b in systems]
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(no_flapack))
+        solver._load_dgtsv.cache_clear()
+        assert solver._load_dgtsv() is scipy.linalg.lapack.dgtsv
+        assert "scipy.linalg._flapack" in asked
+        for (A, b), x in zip(systems, direct):
+            assert np.array_equal(A.solve(b), x)
+    finally:
+        solver._load_dgtsv.cache_clear()
 
 
 def test_banded_solve_residual_check():

@@ -29,6 +29,15 @@ n = 64, nu = 1e-3, k_l = 1e-2 and a surface hump of 0.05 at x = 3.  A run
 ends at t = 3.5, after 90 to 230 steps, so that its energy reports span at
 least three blocks of 32 states.  A run whose time step collapses is cut
 after ``MAX_STEPS`` steps: its last state is repeated once at t = 3.5.
+
+    python tools/parity.py --census a.npz
+
+prints, per tier and in total, how many scenarios of a sweep end in each
+class, the first that applies in this order: ``error`` (the run raised),
+``cut`` (it reached ``MAX_STEPS``), ``absurd`` (the final max H exceeds
+``ABSURD_H`` or max |q| exceeds ``ABSURD_Q``, or either is not finite),
+``drift`` (on a Wall or Periodic domain, the reported mass moves from its
+first value by more than ``MASS_DRIFT`` relative) and ``sane``.
 """
 
 from __future__ import annotations
@@ -47,6 +56,10 @@ REPORT_FIELDS = ("t", "mass", "momentum", "E_h", "E_ext", "modeled_rate",
                  "dissipation_rate", "budget_residual")
 BEDS = {"bump": (5.0, 1.0, 0.3), "island": (5.0, 1.0, 1.05),
         "edge": (0.0, 0.8, 1.2)}  # centre, width, amplitude
+# census thresholds and classes, in order of precedence
+ABSURD_H, ABSURD_Q, MASS_DRIFT = 2.5, 50.0, 1e-12
+CLOSED = ("Wall", "Periodic")
+CLASSES = ("error", "cut", "absurd", "drift", "sane")
 
 
 def scenarios():
@@ -174,6 +187,40 @@ def compare(path_a, path_b, tol):
     return 1 if failed else 0
 
 
+def classify(sweep_file, name):
+    """Census class of scenario ``name`` of a loaded sweep (module doc)."""
+    def get(field):
+        return sweep_file[f"{name}/{field}"]
+
+    if str(get("error")):
+        return "error"
+    if get("counts")[0] > MAX_STEPS:
+        return "cut"
+    if not (get("H").max() <= ABSURD_H and np.abs(get("q")).max() <= ABSURD_Q):
+        return "absurd"
+    mass = get("mass")
+    if (name.split("-")[1] in CLOSED
+            and np.abs(mass - mass[0]).max() > MASS_DRIFT * abs(mass[0])):
+        return "drift"
+    return "sane"
+
+
+def census(path):
+    sweep_file = np.load(path)
+    names = sorted({key.split("/")[0] for key in sweep_file.files})
+    counts = {}
+    for name in names:
+        row = counts.setdefault(name.split("-")[0], dict.fromkeys(CLASSES, 0))
+        row[classify(sweep_file, name)] += 1
+    counts["total"] = {c: sum(row[c] for row in counts.values())
+                       for c in CLASSES}
+    width = max(len(tier) for tier in counts)
+    print(f"{'tier':<{width}} " + " ".join(f"{c:>6}" for c in CLASSES))
+    for tier, row in counts.items():
+        print(f"{tier:<{width}} " + " ".join(f"{row[c]:>6}" for c in CLASSES))
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the sweep to this .npz file")
@@ -181,11 +228,15 @@ def main(argv=None):
                         help="compare two sweep files")
     parser.add_argument("--tol", type=float, default=0.0,
                         help="largest relative difference accepted")
+    parser.add_argument("--census", metavar="A",
+                        help="count the scenarios of a sweep file by class")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare, args.tol)
+    if args.census:
+        return census(args.census)
     if not args.out:
-        parser.error("give --out or --compare")
+        parser.error("give --out, --compare or --census")
     sweep(args.out)
     return 0
 

@@ -13,6 +13,11 @@ the rest of the run's wall time; both are given per step.  A block is
 figure is the lowest of ``BLOCKS`` block medians, because the CPU speed of
 a shared host drifts.
 
+A tier's set-up is what a run pays before its first step: the wall time,
+in a fresh interpreter, to import ``swdisp.cli`` and ``load_config`` the
+tier's benchmark-geometry config (n = 256, written by ``write_config``),
+and that interpreter's peak RSS, each the median of ``REPEATS`` launches.
+
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json
 
 prints the table (µs, step / report) and writes it as JSON with the Python,
@@ -24,8 +29,9 @@ numpy and scipy versions and the commit of the swdisp source that ran; a
 
 also times the parent's ``src`` in the same invocation: each block of one
 tree is followed by the same block of the other, the tree that goes first
-alternates (see :func:`measure`), and the parent's table is written next
-to ``--out`` with ``_parent`` before the suffix.
+alternates (see :func:`measure`; set-up launches alternate the same way,
+see :func:`measure_setup`), and the parent's table is written next to
+``--out`` with ``_parent`` before the suffix.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -46,7 +53,8 @@ import scipy
 import swdisp.diagnostics
 from swdisp.core import (BathymetryField, Boundary, FlowState, GaussianBump,
                          Grid, PhysicalParams, SinusoidMotion, StaticBed)
-from swdisp.io import _build_tag
+from swdisp.io import (GaussianHump, OutputSpec, ScenarioConfig, _build_tag,
+                       write_config)
 from swdisp.models import ModelTier
 from swdisp.solver import StepControls, run_simulation
 
@@ -63,6 +71,13 @@ BLOCKS, REPEATS = 3, 5  # lowest of BLOCKS medians of REPEATS runs each
 _CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
           "import step_table; "
           "print(json.dumps(step_table._block(*sys.argv[2:])))")
+# a child process prints the seconds it takes to import swdisp.cli and load
+# the config sys.argv[1], and its peak RSS in MB
+_SETUP_CHILD = ("import resource, sys, time; start = time.perf_counter(); "
+                "import swdisp.cli, swdisp.io; "
+                "swdisp.io.load_config(sys.argv[1]); "
+                "print(time.perf_counter() - start, resource.getrusage("
+                "resource.RUSAGE_SELF).ru_maxrss / 1024)")
 
 
 def _scenario(n, motion):
@@ -148,6 +163,46 @@ def measure(trees):
             for m, commit in zip(medians, commits)]
 
 
+def _setup_launch(src, config):
+    """``(seconds, peak RSS MB)`` of one :data:`_SETUP_CHILD` launch."""
+    env = dict(os.environ)
+    if src is not None:
+        env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-c", _SETUP_CHILD, str(config)],
+                          env=env, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return tuple(float(v) for v in proc.stdout.split())
+
+
+def measure_setup(trees):
+    """``{tier: (setup_s, peak_rss_mb)}`` per tree in ``trees``, medians of
+    ``REPEATS`` launches.  After one untimed launch per tree (bytecode,
+    page cache), the trees' launches of one tier run back to back, and the
+    tree that goes first alternates from one launch pair to the next."""
+    grid, bathy, _, params, controls = _scenario(256, StaticBed())
+    launches = [{tier: [] for tier in TIERS} for _ in trees]
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = {}
+        for tier in TIERS:
+            configs[tier] = Path(tmp, f"{tier}.cfg")
+            write_config(ScenarioConfig(
+                grid, ModelTier(tier), params, bathy,
+                GaussianHump(amplitude=0.05, center=6.5, width=0.8),
+                controls, OutputSpec()), configs[tier])
+        for src in trees:
+            _setup_launch(src, configs[TIERS[-1]])
+        for repeat in range(REPEATS):
+            for i, tier in enumerate(TIERS):
+                order = range(len(trees))
+                for k in (order if (repeat + i) % 2 == 0
+                          else reversed(order)):
+                    launches[k][tier].append(
+                        _setup_launch(trees[k], configs[tier]))
+    return [{tier: tuple(statistics.median(column)
+                         for column in zip(*runs[tier]))
+             for tier in TIERS} for runs in launches]
+
+
 def _print_table(table):
     width = max(len(label) for label, _, _ in ROWS)
     print(f"| {'n':<{width}} | " + " | ".join(TIERS) + " |")
@@ -171,15 +226,21 @@ def main(argv=None):
     if args.out and args.parent:
         out = Path(args.out)
         outs.append(out.with_name(f"{out.stem}_parent{out.suffix}"))
-    for (table, commit), out, name in zip(measure(trees), outs,
-                                          ("this tree", "parent")):
+    for (table, commit), setup, out, name in zip(
+            measure(trees), measure_setup(trees), outs,
+            ("this tree", "parent")):
         print(f"{name} ({commit}):")
         _print_table(table)
+        for tier, (seconds, rss) in setup.items():
+            print(f"set-up {tier}: {seconds:.3f} s, peak RSS {rss:.1f} MB")
         if out:
             record = {
                 "unit": "us per step / us per report",
                 "table": {t: {label: list(v) for label, v in row.items()}
                           for t, row in table.items()},
+                "setup": {t: {"s": round(seconds, 4),
+                              "peak_rss_mb": round(rss, 1)}
+                          for t, (seconds, rss) in setup.items()},
                 "blocks": BLOCKS, "repeats": REPEATS,
                 "commit": commit, "python": platform.python_version(),
                 "numpy": np.__version__, "scipy": scipy.__version__,
