@@ -43,23 +43,11 @@ def friction_kappa(u_bar, dzb_dx, H, params: PhysicalParams):
     dzb_dx = np.asarray(dzb_dx, dtype=float)
     if k_l > 0 and k_t > 0 and nu <= 0:
         raise ValueError("friction closure requires nu > 0")
-    shape = np.broadcast(u_bar, dzb_dx, H).shape
     if k_t == 0:
-        return np.full(shape, float(k_l))
-    # kappa = k_l + k_t H (|u_bar| sqrt(1 + dzb_dx^2) / reduction), built in
-    # one array of the full shape (an array also for scalar arguments)
-    kappa = np.square(dzb_dx, out=np.empty(shape))
-    kappa += 1.0
-    np.sqrt(kappa, out=kappa)
-    kappa *= np.abs(u_bar)
-    if k_l > 0:
-        reduction = k_l * H
-        reduction /= 3.0 * nu
-        reduction += 1.0
-        kappa /= reduction
-    kappa *= k_t * H
-    kappa += k_l
-    return kappa
+        return np.full(np.broadcast(u_bar, dzb_dx, H).shape, float(k_l))
+    reduction = 1.0 + (k_l * H / (3.0 * nu) if k_l > 0 else 0.0)
+    v_b = np.abs(u_bar) * np.sqrt(1.0 + dzb_dx**2) / reduction
+    return np.asarray(k_l + k_t * H * v_b)  # an array also for scalars
 
 
 def effective_friction(kappa, H, nu):
@@ -73,11 +61,7 @@ def effective_friction(kappa, H, nu):
         raise ValueError("effective friction requires nu > 0")
     kappa = np.asarray(kappa, dtype=float)
     H = np.asarray(H, dtype=float)
-    # kappa / (1 + kappa H / (3 nu)) in one array of the full shape
-    ratio = np.multiply(kappa, H, out=np.empty(np.broadcast(kappa, H).shape))
-    ratio /= 3.0 * nu
-    ratio += 1.0
-    return np.divide(kappa, ratio, out=ratio)
+    return np.asarray(kappa / (1.0 + kappa * H / (3.0 * nu)))
 
 
 def bottom_velocity(u_bar, H, kappa, nu):

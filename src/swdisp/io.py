@@ -480,7 +480,10 @@ def regime_scales(cfg: ScenarioConfig) -> ScalingRegime:
 
 
 def regime_verdict(cfg: ScenarioConfig) -> RegimeClass:
-    scales = regime_scales(cfg)
+    return _verdict(regime_scales(cfg))
+
+
+def _verdict(scales: ScalingRegime) -> RegimeClass:
     if scales.depth <= 0.0:
         return RegimeClass.OUT_OF_ASYMPTOTIC_RANGE
     return classify_regime(scales)
@@ -631,7 +634,7 @@ def write_timeseries(reports, path) -> None:
 def write_manifest(cfg: ScenarioConfig, path, extra=None) -> None:
     """Record the scenario scales, regime verdict, and optional run stats."""
     scales = regime_scales(cfg)
-    verdict = regime_verdict(cfg)
+    verdict = _verdict(scales)
     lines = ["# run manifest",
              f"build = {_build_tag()}",
              f"tier = {cfg.tier.value}",

@@ -28,12 +28,13 @@ wet mask and derives, once each, its differences, wall-law ``kappa``,
 ``kappa_eff`` and atmospheric-pressure gradient, and for the energy reports
 one bundle per block of states, with one row per state.
 
-A stage allocates each temporary once and accumulates into it, by augmented
-assignment or ``out=`` into an array the function itself allocated, in the
-order of the plain expression it replaces (only the two operands of one
-``+`` or ``*`` may swap), so the results are bit-identical to it.  It never
-writes into the state, a field bundle or the run context, whose arrays are
-shared between stages, reports and calls.
+Arithmetic is written as plain expressions, except in the finite-volume
+core and NonHydro2's operator and forcings, which build each expression in
+one array they allocate (augmented assignment or ``out=``, in the plain
+order, so results are bit-identical): there, in an in-process A/B of
+alternated runs, the plain form made most NonHydro2 steps at n = 8192 1-6 %
+slower, while elsewhere it cost nothing measurable.  No function writes
+into the state, a field bundle or the run context, which stages share.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
@@ -103,18 +104,12 @@ def _centered_difference(values, dx):
     (``n + 2 * NGHOST`` entries) gives its width-1 ring (cells ``-1 .. n``),
     and a ring array gives the ``n`` real cells.  Taken along the last axis.
     """
-    diff = values[..., 2:] - values[..., :-2]
-    diff /= 2.0 * dx
-    return diff
+    return (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
 
 
 def _cell_curvature(padded, dx):
     """Centered second derivative at the padded interior (width-1 ring)."""
-    curv = 2.0 * padded[1:-1]
-    np.subtract(padded[2:], curv, out=curv)
-    curv += padded[:-2]
-    curv /= dx**2
-    return curv
+    return (padded[2:] - 2.0 * padded[1:-1] + padded[:-2]) / dx**2
 
 
 def _interior(cellwise):
@@ -430,15 +425,10 @@ def _fv_core(f, *, first_order, include_pressure, sources=None):
 def _viscous_tendency(Hp, up, dx, nu):
     """Conservative depth-integrated viscous term d/dx(4 nu H du/dx)."""
     # face-centered H and du/dx over faces 0..n built from the width-1 ring
-    mu = Hp[1:-2] + Hp[2:-1]
-    mu *= 0.5
-    mu *= 4.0 * nu
-    dudx_f = up[2:-1] - up[1:-2]
-    dudx_f /= dx
-    mu *= dudx_f
-    visc = mu[1:] - mu[:-1]
-    visc /= dx
-    return visc
+    Hf = 0.5 * (Hp[1:-2] + Hp[2:-1])
+    dudx_f = (up[2:-1] - up[1:-2]) / dx
+    mu = 4.0 * nu * Hf * dudx_f
+    return (mu[1:] - mu[:-1]) / dx
 
 
 def _core_tendency(f, inviscid, *, damped=False, first_order=False,
@@ -453,13 +443,13 @@ def _core_tendency(f, inviscid, *, damped=False, first_order=False,
     dHdt, dqdt = _fv_core(f, first_order=first_order,
                           include_pressure=not inviscid, sources=sources)
     if not inviscid and f.params.nu > 0.0:
-        dqdt += _viscous_tendency(f.Hp, f.up, f.dx, f.params.nu)
+        dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, f.params.nu)
 
     if f.grad_pa is not None and f.grad_pa.any():
-        dqdt -= f.H * f.grad_pa
+        dqdt = dqdt - f.H * f.grad_pa
 
     if damped and f.kappa_ring is not None:
-        dqdt -= _friction_coefficient(f, ModelTier.HYDROSTATIC) * f.u
+        dqdt = dqdt - _friction_coefficient(f, ModelTier.HYDROSTATIC) * f.u
     return dHdt, dqdt
 
 
@@ -626,8 +616,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     inviscid = tier is ModelTier.PEREGRINE_INVISCID
     dHdt, dqdt = _core_tendency(f, inviscid, first_order=first_order,
                                 sources=sources)
-    F = dqdt  # the core's own array, which the forcings accumulate into
-    F -= u * dHdt
+    F = dqdt - u * dHdt
     if tier is ModelTier.HYDROSTATIC:
         A, diag = BandedMatrix(np.zeros((3, H.size))), H
     else:
@@ -635,7 +624,7 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     A.bands[1] += diag  # the bands are this stage's own
     if not f.all_wet:
         A.decouple(~f.wet)
-        np.copyto(F, 0.0, where=~f.wet)
+        F = np.where(f.wet, F, 0.0)
     return DispersiveSystem(A=A, F=F, dHdt=dHdt,
                             friction=_friction_coefficient(f, tier))
 
@@ -672,29 +661,14 @@ def _dispersive_terms(f, context, tier, F):
     if tier is not ModelTier.NONHYDRO2:  # NonHydro1, PeregrineInviscid
         X, Y, off = context.bed_operator(f)
         if friction:
-            # F += D((kappa/6) z (z s + 7 zbx u)) - (kappa/2) zbx (zb s - zbx u)
-            flux_k = kappa_ring / 6.0
-            flux_k *= z_ring
-            inner = 7.0 * zbx_ring
-            inner *= u_ring
-            inner += z_ring * s_ring
-            flux_k *= inner
+            flux_k = (kappa_ring / 6.0) * z_ring * (z_ring * s_ring
+                                                    + 7.0 * zbx_ring * u_ring)
             F += _centered_difference(flux_k, dx)
-            damp = kappa / 2.0
-            damp *= zbx
-            slope = zb * s
-            slope -= zbx * u
-            damp *= slope
-            F -= damp
+            F -= (kappa / 2.0) * zbx * (zb * s - zbx * u)
         if f.bed_rate != 0.0:
             mixed = f.bed_rate * s_ring          # d/dx(u db/dt)
-            flux = z_ring**2
-            flux /= 2.0
-            flux *= mixed
-            F -= _centered_difference(flux, dx)
-            point = zbx * zb
-            point *= _interior(mixed)
-            F += point
+            F -= _centered_difference((z_ring**2 / 2.0) * mixed, dx)
+            F += zbx * zb * _interior(mixed)
     else:
         # ---- NonHydro2 operator ------------------------------------------
         # A[a] = H a + d/dx((H^3/6 - eta H^2/2) da/dx + (H^2/2) d(z_b a)/dx)
@@ -748,9 +722,7 @@ def _dispersive_terms(f, context, tier, F):
             point *= kappa
             P += point
         _add_nh2_forcing(F, f, G, B, P)
-    diag = H - X
-    diag -= Y
-    return off, diag, F
+    return off, H - X - Y, F
 
 
 def _add_nh2_forcing(F, f, G, B, P=0.0):

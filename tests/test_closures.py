@@ -108,6 +108,22 @@ def test_effective_friction_monotone_and_bounded():
     assert np.all(vals <= 3 * nu / H + 1e-15)
 
 
+@pytest.mark.parametrize("k_t", [0.0, 0.1])
+def test_friction_returns_an_array_for_scalar_arguments(k_t):
+    """Scalar arguments give 0-d arrays, not numpy scalars, from both the
+    wall law (with and without its turbulent part) and the effective drag;
+    arrays keep their broadcast shape."""
+    params = PhysicalParams(nu=0.01, k_l=0.03, k_t=k_t)
+    kappa = friction_kappa(1.0, 0.2, 1.0, params)
+    assert type(kappa) is np.ndarray and kappa.shape == ()
+    drag = effective_friction(kappa, 1.0, params.nu)
+    assert type(drag) is np.ndarray and drag.shape == ()
+    assert friction_kappa(np.ones(3), 0.2, np.ones((2, 1)),
+                          params).shape == (2, 3)
+    assert effective_friction(np.ones(3), np.ones((2, 1)),
+                              params.nu).shape == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # velocity_profile
 # ---------------------------------------------------------------------------

@@ -712,7 +712,7 @@ def test_package_version_matches_pyproject():
     assert version == swdisp.__version__
 
 
-def test_manifest_records_regime_verdict(tmp_path):
+def test_manifest_records_regime_verdict(tmp_path, monkeypatch):
     # depth 1, wavelength 100, amplitude 2e-4: shallowness 0.01 and Ursell
     # number 2 put this in the dispersive (Boussinesq) window
     text = """\
@@ -737,7 +737,15 @@ t_end = 0.1
     cfg = _load(tmp_path, text)
     assert regime_verdict(cfg).value == "Boussinesq"
     path = tmp_path / "manifest.txt"
+    built = []
+
+    def counted(c):
+        built.append(c)
+        return build_initial_state(c)
+
+    monkeypatch.setattr(swio, "build_initial_state", counted)
     write_manifest(cfg, path)
+    assert len(built) == 1  # the verdict comes from the scales it wrote
     body = path.read_text()
     assert "regime = Boussinesq" in body
     assert "tier = NonHydro1" in body
