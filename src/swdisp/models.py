@@ -31,10 +31,10 @@ one bundle per block of states, with one row per state.
 Arithmetic is written as plain expressions, except in the finite-volume
 core and NonHydro2's operator and forcings, which build each expression in
 one array they allocate (augmented assignment or ``out=``, in the plain
-order, so results are bit-identical): there, in an in-process A/B of
-alternated runs, the plain form made most NonHydro2 steps at n = 8192 1-6 %
-slower, while elsewhere it cost nothing measurable.  No function writes
-into the state, a field bundle or the run context, which stages share.
+order, so results are bit-identical).  In an in-process A/B of alternated
+runs, the plain form there made most NonHydro2 steps at n = 8192 1-6 %
+slower; elsewhere it costs a step 0-4 %, NonHydro1's at n = 8192 6-10 %.
+No function writes into the state, a field bundle or the run context.
 
 Sign and orientation conventions: ``z_b < 0`` below the datum, ``H >= 0``,
 ``eta = z_b + H``; fluxes are positive rightward; tendencies are in
