@@ -389,7 +389,6 @@ class ScalingRegime:
     depth: float
     wavelength: float
     amplitude: float
-    bed_amplitude: float = 0.0
     gravity: float = 9.81
     viscosity: float = 0.0
     laminar_friction: float = 0.0

@@ -473,9 +473,8 @@ def regime_scales(cfg: ScenarioConfig) -> ScalingRegime:
         wavelength = cfg.grid.length
 
     return ScalingRegime(depth=depth, wavelength=float(wavelength),
-                         amplitude=amplitude,
-                         bed_amplitude=float(np.max(zb) - np.min(zb)),
-                         gravity=cfg.params.g, viscosity=cfg.params.nu,
+                         amplitude=amplitude, gravity=cfg.params.g,
+                         viscosity=cfg.params.nu,
                          laminar_friction=cfg.params.k_l)
 
 

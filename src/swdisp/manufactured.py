@@ -35,6 +35,8 @@ from .solver import StepControls, run_simulation
 __all__ = ["ManufacturedCase", "case_names", "get_case",
            "run_convergence_point"]
 
+CFL = 0.4  # Courant number of a convergence run's fixed step
+
 
 @dataclass(frozen=True)
 class ManufacturedCase:
@@ -142,10 +144,10 @@ def get_case(name: str) -> ManufacturedCase:
 
 
 def run_convergence_point(case: ManufacturedCase, n_cells: int, *,
-                          t_end=None, cfl=0.4, first_order=False):
+                          t_end=None, first_order=False):
     """Integrate the forced case on ``n_cells`` and return ``(dx, error)``.
 
-    The step is fixed at ``cfl dx / c_ref`` (rounded to land on ``t_end``
+    The step is fixed at ``CFL dx / c_ref`` (rounded to land on ``t_end``
     exactly) so space and time refine together and the combined scheme
     order shows up directly in the L2 error of ``(H, u_bar)`` against the
     exact fields.
@@ -157,7 +159,7 @@ def run_convergence_point(case: ManufacturedCase, n_cells: int, *,
 
     u0 = state.velocity()
     c_ref = float(np.max(np.abs(u0) + np.sqrt(case.params.g * state.H)))
-    steps = max(1, math.ceil(t_end / (cfl * grid.dx / c_ref)))
+    steps = max(1, math.ceil(t_end / (CFL * grid.dx / c_ref)))
     controls = StepControls(t_end=t_end, fixed_dt=t_end / steps,
                             first_order=first_order)
 

@@ -23,10 +23,11 @@ A run keeps what it does not change in one private :class:`_RunContext`:
 the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
 curvature, the dispersive friction's bed factor, and the bed part of
 NonHydro1's and PeregrineInviscid's ``A`` for the last ``b``.  It hands out
-one field bundle (:class:`_Fields`) per state, which carries the state's
-wet mask and derives, once each, its differences, wall-law ``kappa``,
-``kappa_eff`` and atmospheric-pressure gradient, and for the energy reports
-one bundle per block of states, with one row per state.
+one field bundle (:class:`_Fields`) per state, and for the energy reports
+one per block of states, with one row per state.  A bundle's constructor
+sets its fields; the rest it derives once each on first use.  The
+finite-volume core returns its count of clamped face depths, which reaches
+the stage as :attr:`DispersiveSystem.face_clamps`.
 
 Arithmetic is written as plain expressions, except in the finite-volume
 core and NonHydro2's operator and forcings, which build each expression in
@@ -117,45 +118,35 @@ def _interior(cellwise):
     return cellwise[..., 1:-1]
 
 
-@dataclass
 class _Fields:
-    """Fields of one state read by the core, assembly, friction and reports.
+    """Fields of one state, or of a block with one row per state, read by
+    the core, assembly, friction and reports.
 
-    ``Hp``, ``up``, ``zp``, ``etap`` carry ``NGHOST`` ghost cells per side.
-    ``eta`` and the centered differences (width-1 ring) ``ux_ring``,
-    ``Hx_ring``, ``etax_ring``, ``divq_ring`` of ``H u`` and ``m_ring`` of
-    ``z_b u`` are computed on first use; the bed's are the run's.
-    ``bed_offset``, ``bed_rate`` and ``bed_accel`` are ``b``, ``db/dt`` and
-    ``d^2b/dt^2``; ``wet`` is ``H >= DRY_THRESHOLD``; ``params`` and the
-    bed factor ``1 + 5/2 (dz_b/dx)^2`` are the run's.  The wall-law
-    ``kappa_ring``, ``kappa_eff`` and the atmospheric-pressure gradient
-    ``grad_pa`` are derived on first use, ``face_clamps`` (face depths
-    clamped to zero) set by :func:`_fv_core`.  A block bundle
-    (:meth:`_RunContext.block`) holds one row per state, its times and bed
-    values as columns, and has no ``grad_pa``.
+    The constructor sets the wet mask (``H >= DRY_THRESHOLD``), velocity,
+    bed and the ``NGHOST``-padded ``Hp``, ``up``, ``zp``, ``etap``, and
+    shares the constants of the run context ``run`` without keeping it (a
+    context built per call is then freed at once, not by the cyclic
+    garbage collector).  The cached properties derive the rest once each;
+    ``_ring`` fields are on the width-1 ring.  Nothing else writes into a
+    bundle.  A block bundle (:meth:`_RunContext.block`) holds its times and
+    bed values as columns and has no ``grad_pa``.
     """
 
-    t: float
-    x: np.ndarray
-    dx: float
-    H: np.ndarray
-    q: np.ndarray
-    u: np.ndarray
-    zb: np.ndarray
-    Hp: np.ndarray
-    up: np.ndarray
-    zp: np.ndarray
-    etap: np.ndarray
-    zbx_ring: np.ndarray
-    zbxx_ring: np.ndarray
-    bed_offset: float
-    bed_rate: float
-    bed_accel: float
-    wet: np.ndarray
-    all_wet: bool
-    params: object
-    bed_factor: np.ndarray
-    face_clamps: int = 0  # set by _fv_core
+    def __init__(self, run, t, H, q, b, bed_rate, bed_accel):
+        self.t, self.H, self.q = t, H, q
+        self.bed_offset, self.bed_rate, self.bed_accel = b, bed_rate, bed_accel
+        self.x, self.dx, self.params = run.x, run.dx, run.params
+        self.zbx_ring, self.zbxx_ring = run.zbx_ring, run.zbxx_ring
+        self.bed_factor = run.bed_factor
+        self.zp = run.Zp + b
+        self.zb = self.zp[..., NGHOST:-NGHOST]
+        self.wet = H >= DRY_THRESHOLD
+        self.all_wet = bool(self.wet.all())
+        self.u = np.zeros_like(H)  # FlowState.velocity, from the same mask
+        np.divide(q, H, out=self.u, where=self.wet)
+        self.Hp = _pad(H, run.boundary, 1.0)
+        self.up = _pad(self.u, run.boundary, -1.0)
+        self.etap = self.zp + self.Hp
 
     @cached_property
     def eta(self):
@@ -218,8 +209,6 @@ class _RunContext:
     :meth:`fields` returns the last bundle again for the same state object,
     so a state must not be mutated after its fields were taken, and
     :meth:`bed_operator` a copy of the last operator for the same ``b``.
-    Bundles hold no reference back to the context: a context built per
-    call is then freed at once, not by the cyclic garbage collector.
     """
 
     def __init__(self, bathy, params, grid):
@@ -255,7 +244,7 @@ class _RunContext:
         """The :class:`_Fields` of ``state``, built once per state object."""
         last, f = self._last
         if state is not last:
-            f = self._build(state.t, state.H, state.q, *self._bed(state.t))
+            f = _Fields(self, state.t, state.H, state.q, *self._bed(state.t))
             self._last = (state, f)
         return f
 
@@ -264,8 +253,8 @@ class _RunContext:
         the bed values as columns."""
         t = np.array([s.t for s in states])[:, None]
         bed = np.array([self._bed(s.t) for s in states]).T[..., None]
-        return self._build(t, np.array([s.H for s in states]),
-                           np.array([s.q for s in states]), *bed)
+        return _Fields(self, t, np.array([s.H for s in states]),
+                       np.array([s.q for s in states]), *bed)
 
     def _bed(self, t):
         """``b``, ``db/dt`` and ``d^2b/dt^2`` at time ``t``."""
@@ -288,21 +277,6 @@ class _RunContext:
         X, Y, off = parts
         return X, Y, BandedMatrix(off.bands.copy(), off.corners)
 
-    def _build(self, t, H, q, b, bed_rate, bed_accel):
-        bc = self.boundary
-        zp = self.Zp + b
-        wet = H >= DRY_THRESHOLD
-        u = np.zeros_like(H)  # FlowState.velocity, from the same mask
-        np.divide(q, H, out=u, where=wet)
-        Hp = _pad(H, bc, 1.0)
-        return _Fields(t=t, x=self.x, dx=self.dx, H=H, q=q, u=u,
-                       zb=zp[..., NGHOST:-NGHOST], Hp=Hp, up=_pad(u, bc, -1.0),
-                       zp=zp, etap=zp + Hp, zbx_ring=self.zbx_ring,
-                       zbxx_ring=self.zbxx_ring, bed_offset=b,
-                       bed_rate=bed_rate, bed_accel=bed_accel,
-                       wet=wet, all_wet=bool(wet.all()), params=self.params,
-                       bed_factor=self.bed_factor)
-
 
 def _face_values(cells, padded, first_order):
     """In-cell values at the left and right faces of cells -1 .. n: the
@@ -317,7 +291,8 @@ def _face_values(cells, padded, first_order):
 
 
 def _fv_core(f, *, first_order, include_pressure, sources=None):
-    """Finite-volume mass/momentum tendencies of the advective core.
+    """Finite-volume mass/momentum tendencies of the advective core, and the
+    number of face depths its hydrostatic reconstruction clamped to zero.
 
     With ``include_pressure`` the momentum flux carries ``g H^2 / 2`` with
     hydrostatic face reconstruction (well balanced against the bed source);
@@ -343,10 +318,10 @@ def _fv_core(f, *, first_order, include_pressure, sources=None):
     z_face = np.maximum(z_L, z_R)
     Hs_L = eta_L - z_face
     Hs_R = np.subtract(eta_R, z_face, out=z_face)
-    f.face_clamps = 0
+    clamps = 0
     if Hs_L.min() < 0.0 or Hs_R.min() < 0.0:
-        f.face_clamps = int(np.count_nonzero(Hs_L < 0.0)
-                            + np.count_nonzero(Hs_R < 0.0))
+        clamps = int(np.count_nonzero(Hs_L < 0.0)
+                     + np.count_nonzero(Hs_R < 0.0))
     np.maximum(Hs_L, 0.0, out=Hs_L)
     np.maximum(Hs_R, 0.0, out=Hs_R)
 
@@ -419,7 +394,7 @@ def _fv_core(f, *, first_order, include_pressure, sources=None):
         dHdt += src_H(f.x, f.t)
         dqdt += src_q(f.x, f.t)
 
-    return dHdt, dqdt
+    return dHdt, dqdt, clamps
 
 
 def _viscous_tendency(Hp, up, dx, nu):
@@ -433,15 +408,17 @@ def _viscous_tendency(Hp, up, dx, nu):
 
 def _core_tendency(f, inviscid, *, damped=False, first_order=False,
                    sources=None):
-    """``(dH/dt, dq/dt)`` of the advective core with its explicit forcings.
+    """``(dH/dt, dq/dt, face clamps)`` of the advective core with its
+    explicit forcings.
 
     The viscous tiers flux the hydrostatic pressure and add viscosity; the
     inviscid tier applies the surface gradient in non-conservative form.
     Both add the atmospheric-pressure gradient.  ``damped`` adds the
     hydrostatic wall-law damping ``-kappa_eff u_bar``.
     """
-    dHdt, dqdt = _fv_core(f, first_order=first_order,
-                          include_pressure=not inviscid, sources=sources)
+    dHdt, dqdt, clamps = _fv_core(f, first_order=first_order,
+                                  include_pressure=not inviscid,
+                                  sources=sources)
     if not inviscid and f.params.nu > 0.0:
         dqdt = dqdt + _viscous_tendency(f.Hp, f.up, f.dx, f.params.nu)
 
@@ -450,7 +427,7 @@ def _core_tendency(f, inviscid, *, damped=False, first_order=False,
 
     if damped and f.kappa_ring is not None:
         dqdt = dqdt - _friction_coefficient(f, ModelTier.HYDROSTATIC) * f.u
-    return dHdt, dqdt
+    return dHdt, dqdt, clamps
 
 
 def hydrostatic_tendency(state, bathy, params, grid):
@@ -461,7 +438,7 @@ def hydrostatic_tendency(state, bathy, params, grid):
     ``Grid`` ``grid``; ``state.t`` fixes the evaluation time for the bed
     and the atmospheric pressure."""
     f = _RunContext(bathy, params, grid).fields(state)
-    return _core_tendency(f, False, damped=True)
+    return _core_tendency(f, False, damped=True)[:2]
 
 
 def _ring_kappa(f, tier):
@@ -514,12 +491,15 @@ class DispersiveSystem:
         cells.  The integrator treats it implicitly and skips its divisor
         when ``c`` is all zero.  It may be an array the run keeps for the
         state: do not modify it.
+    face_clamps : int
+        Face depths the advective core's reconstruction clamped to zero.
     """
 
     A: "object"
     F: np.ndarray
     dHdt: np.ndarray
     friction: np.ndarray
+    face_clamps: int
 
 
 def _operator_parts(zc, coeff1_cells, coeff2_cells, slope_c1, slope_c2, zbx,
@@ -614,8 +594,8 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     f = context.fields(state)
     H, u = f.H, f.u
     inviscid = tier is ModelTier.PEREGRINE_INVISCID
-    dHdt, dqdt = _core_tendency(f, inviscid, first_order=first_order,
-                                sources=sources)
+    dHdt, dqdt, clamps = _core_tendency(f, inviscid, first_order=first_order,
+                                        sources=sources)
     F = dqdt - u * dHdt
     if tier is ModelTier.HYDROSTATIC:
         A, diag = BandedMatrix(np.zeros((3, H.size))), H
@@ -626,7 +606,8 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
         A.decouple(~f.wet)
         F = np.where(f.wet, F, 0.0)
     return DispersiveSystem(A=A, F=F, dHdt=dHdt,
-                            friction=_friction_coefficient(f, tier))
+                            friction=_friction_coefficient(f, tier),
+                            face_clamps=clamps)
 
 
 def _dispersive_terms(f, context, tier, F):

@@ -281,7 +281,7 @@ def _stage(state, context, tier, dt, *, sources, first_order):
     H1 = dt * system.dHdt
     H1 += H0
     negative = H1 < 0.0
-    clamps = f.face_clamps
+    clamps = system.face_clamps
     if negative.any():
         clamps += int(np.count_nonzero(negative))
         H1[negative] = 0.0

@@ -183,7 +183,7 @@ def test_stage_clamp_counts_every_negative_new_depth(monkeypatch):
     def spy(s, *args, **kwargs):
         system = assemble_dispersive(s, *args, **kwargs)
         new_depths.append(s.H + dt * system.dHdt)
-        face_clamps.append(kwargs["context"].fields(s).face_clamps)
+        face_clamps.append(system.face_clamps)
         return system
 
     monkeypatch.setattr(solver, "assemble_dispersive", spy)

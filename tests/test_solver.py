@@ -776,6 +776,39 @@ def test_step_writes_into_no_array_of_the_state_bundle_or_context(
         np.testing.assert_array_equal(value, copies[name], err_msg=name)
 
 
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_step_sets_no_attribute_of_the_bundle(tier):
+    """A step leaves the field bundle's attribute names and non-array
+    values as it found them (each cached field evaluated first), also when
+    the reconstruction clamps face depths: the count leaves the core as a
+    result, not as a bundle field.  A one-cell bed spike through a lake at
+    rest clamps faces in every stage."""
+    from swdisp.core import SampledBed
+    from swdisp.models import _RunContext
+
+    zb = np.full(16, -1.0)
+    zb[8] = 0.5
+    grid = Grid(0.0, 1.0, 16, Boundary.WALL)
+    bathy = BathymetryField(SampledBed(zb))
+    params = PhysicalParams(nu=1e-3, k_l=0.01)
+    state = lake_at_rest(grid, bathy)
+    context = _RunContext(bathy, params, grid)
+    f = context.fields(state)
+    for name in ("eta", "ux_ring", "Hx_ring", "etax_ring", "divq_ring",
+                 "m_ring", "kappa_ring", "kappa_eff", "grad_pa"):
+        getattr(f, name)
+    before = {k: v for k, v in vars(f).items()
+              if not isinstance(v, np.ndarray)}
+    names = set(vars(f))
+
+    stats = {}
+    step(state, bathy, params, grid, tier, 1e-3, stats=stats, context=context)
+    assert stats.get("positivity_clamps", 0) > 0
+    assert set(vars(f)) == names
+    assert {k: v for k, v in vars(f).items()
+            if not isinstance(v, np.ndarray)} == before
+
+
 def test_blow_up_ends_with_the_solver_error_and_no_numpy_warning():
     """A NonHydro2 run whose state overflows stops with the SolverError of
     its solve; the overflows on the way raise no RuntimeWarning."""
