@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PhysicalParams
+from .core import ModelTier, PhysicalParams
 
 __all__ = [
     "friction_kappa",
@@ -157,8 +157,6 @@ def pressure_nonhydrostatic(z, *, tier, params: PhysicalParams, eta, z_b, u_bar,
     Time derivatives (``a = du_bar/dt``, ``da_dx``, ``deta_dt``, bottom
     motion rates) are supplied by the caller; they are never re-derived here.
     """
-    from .models import ModelTier  # local import to avoid a cycle
-
     if tier is ModelTier.HYDROSTATIC:
         raise ValueError("non-hydrostatic pressure is undefined for the Hydrostatic tier")
     z = np.asarray(z, dtype=float)

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "DRY_THRESHOLD",
     "Boundary",
+    "ModelTier",
     "Grid",
     "FlowState",
     "FlatBed",
@@ -52,6 +53,15 @@ class Boundary(enum.Enum):
     PERIODIC = "Periodic"
     WALL = "Wall"
     COPY = "Copy"
+
+
+class ModelTier(enum.Enum):
+    """Which closure of the vertical structure drives the momentum balance."""
+
+    HYDROSTATIC = "Hydrostatic"
+    NONHYDRO1 = "NonHydro1"
+    NONHYDRO2 = "NonHydro2"
+    PEREGRINE_INVISCID = "PeregrineInviscid"
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,15 @@ from typing import Union
 
 import numpy as np
 
-from . import __version__
+from . import __version__, closures
 from .core import (BathymetryField, Boundary, FlatBed, FlowState,
                    GaussianBump, GaussianPulseMotion, GradientPressure, Grid,
                    PhysicalParams, RegimeClass, ScalingRegime, SinusoidMotion,
                    StaticBed, ZeroPressure, classify_regime)
 from .models import (DRY_THRESHOLD, ModelTier, _centered_difference,
-                     _interior, _pad, _RunContext)
-from .solver import StepControls, _load_dgtsv
+                     _interior, _load_dgtsv, _pad, _RunContext,
+                     assemble_dispersive)
+from .solver import StepControls
 
 __all__ = [
     "ConfigError", "LakeAtRest", "DamBreak", "MonochromaticWave",
@@ -401,7 +402,7 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"initial.{key}: no cell is wet at t = 0 (every "
                           f"depth is below {DRY_THRESHOLD:g})")
     # a dispersive scenario loads LAPACK's dgtsv in set-up, so no step pays
-    # for it; loading scipy's _flapack alone takes 3-10 ms (see _load_dgtsv)
+    # for it (see _load_dgtsv)
     if cfg.tier is not ModelTier.HYDROSTATIC:
         _load_dgtsv()
 
@@ -561,8 +562,6 @@ def _build_tag() -> str:
 def _derived_columns(state, context, tier, fields):
     """Compute the requested derived snapshot columns (dict name -> array)
     from the state's field bundle in the ``models._RunContext`` ``context``."""
-    from . import closures
-
     bathy, params, grid = context.bathy, context.params, context.grid
     f = context.fields(state)
     x, t, dx, bc = f.x, f.t, f.dx, grid.boundary
@@ -581,7 +580,6 @@ def _derived_columns(state, context, tier, fields):
         if tier is ModelTier.HYDROSTATIC:
             out["p_bottom"] = p_a + params.g * H
         else:
-            from .models import assemble_dispersive
             system = assemble_dispersive(state, bathy, params, grid, tier,
                                          context=context)
             F = system.F

@@ -10,7 +10,9 @@ Every tier poses one implicit problem ``A[a] = F`` for the acceleration
 explicit forcings.  For the hydrostatic tier ``A = diag(H)``.  The
 dispersive tiers reuse the hydrostatic tendencies for their advective core
 and add the inertia of the non-hydrostatic pressure, which makes ``A``
-tridiagonal.  Every tier builds ``A`` one way: the stage's own
+tridiagonal.  ``A`` is a :class:`BandedMatrix` (tridiagonal band storage
+plus the two wrap-around corners of a periodic domain), which this module
+alone builds and cuts.  Every tier builds it one way: the stage's own
 off-diagonal bands (boundary folded in; all zero for Hydrostatic; a copy of
 the run's for NonHydro1 and PeregrineInviscid) with the state's diagonal
 added in place, and dry cells then cut out of the bands.  NonHydro2 adds
@@ -44,32 +46,25 @@ conservation form ``d(H)/dt``, ``d(q)/dt`` with ``q = H u_bar``.
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .closures import effective_friction, friction_kappa
-from .core import DRY_THRESHOLD, Boundary, ZeroPressure
+from .core import DRY_THRESHOLD, Boundary, ModelTier, ZeroPressure
 
 __all__ = [
     "ModelTier",
+    "SolverError",
+    "BandedMatrix",
     "DispersiveSystem",
     "hydrostatic_tendency",
     "assemble_dispersive",
     "steady_residual",
     "pointwise_friction_coefficient",
 ]
-
-
-class ModelTier(enum.Enum):
-    """Which closure of the vertical structure drives the momentum balance."""
-
-    HYDROSTATIC = "Hydrostatic"
-    NONHYDRO1 = "NonHydro1"
-    NONHYDRO2 = "NonHydro2"
-    PEREGRINE_INVISCID = "PeregrineInviscid"
 
 
 # number of ghost cells appended on each side for reconstruction stencils
@@ -116,6 +111,176 @@ def _cell_curvature(padded, dx):
 def _interior(cellwise):
     """Real-cell slice of a width-1-ring array (along the last axis)."""
     return cellwise[..., 1:-1]
+
+
+class SolverError(RuntimeError):
+    """A linear solve failed or was inaccurate, or a run went non-finite."""
+
+
+@cache
+def _load_dgtsv():
+    """LAPACK's ``dgtsv``, from scipy's ``_flapack`` extension module alone.
+
+    Loaded at the first tridiagonal solve, or when
+    :func:`swdisp.io.validate_config` accepts a dispersive tier, so the
+    hydrostatic tier runs without LAPACK.  The extension is found on
+    ``scipy.__path__`` and loaded in 3-10 ms without running
+    ``scipy/linalg/__init__``, whose imports (numpy.f2py, numpy.testing,
+    numpy.random and numpy.ma) took 0.2-0.3 s and 23 MB of a dispersive
+    run's set-up: the nh1-periodic-256 benchmark's set-up fell from 0.49 to
+    0.24 s and its peak RSS from 59.0 to 36.4 MB (medians of 10 alternated
+    runs on a 2-core x86_64 host).  CPython keeps one copy of a
+    single-phase extension module, so this is the very object
+    :mod:`scipy.linalg.lapack` exports.  Where no ``_flapack`` is found
+    under ``scipy/linalg``, that package import is the way in.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        from scipy.linalg.lapack import dgtsv
+        return dgtsv
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgtsv
+
+
+@dataclass
+class BandedMatrix:
+    """Tridiagonal matrix in LAPACK ``(1, 1)`` band storage, plus the two
+    wrap-around corners of a periodic domain.
+
+    ``bands[1 + i - j, j]`` holds ``A[i, j]`` for ``|i - j| <= 1``: row 0 is
+    the super-diagonal, row 1 the diagonal, row 2 the sub-diagonal
+    (``bands[0, 0]`` and ``bands[2, -1]`` are unused and zero).  ``corners``
+    is ``(A[0, n-1], A[n-1, 0])`` on a periodic domain with wrap-around
+    coupling and empty otherwise; :meth:`solve` removes it with the
+    cyclic-tridiagonal Sherman-Morrison step (Temperton 1975; Numerical
+    Recipes section 2.7), one extra right-hand side in the same call.
+    """
+
+    bands: np.ndarray
+    corners: tuple = ()
+
+    @property
+    def n(self):
+        return self.bands.shape[1]
+
+    @classmethod
+    def from_stencils(cls, sub, sup, boundary):
+        """Off-diagonal bands of a tridiagonal operator, with a zero diagonal.
+
+        ``sub[i]`` and ``sup[i]`` are the coefficients of unknowns ``i - 1``
+        and ``i + 1`` in row ``i``.  The two ghost references (``sub[0]`` to
+        unknown -1, ``sup[-1]`` to unknown n) follow ``boundary``: periodic
+        wraps them into the corners, wall treats the ghost unknowns as zero
+        (drops the entry), copy folds them onto the diagonal.  The caller
+        adds the diagonal to ``bands[1]``.
+        """
+        bands = np.empty((3, len(sub)))
+        bands[0, 0] = bands[2, -1] = 0.0
+        bands[0, 1:] = sup[:-1]
+        bands[1] = 0.0
+        bands[2, :-1] = sub[1:]
+        low, high = sub[0], sup[-1]
+        corners = ()
+        if boundary is Boundary.PERIODIC and (low != 0.0 or high != 0.0):
+            corners = (low, high)
+        elif boundary is Boundary.COPY:
+            bands[1, 0] += low
+            bands[1, -1] += high
+        # Boundary.WALL: ghost unknowns vanish, entries dropped
+        return cls(bands=bands, corners=corners)
+
+    def decouple(self, mask):
+        """Cut the cells where ``mask`` is true out of the system, in place:
+        each gets an identity row and a unit column, across the wrap of a
+        periodic domain too, so the solve returns the right-hand side there.
+        Both corners go when the first or last cell is cut."""
+        cells, bands = np.flatnonzero(mask), self.bands
+        bands[:, cells] = ((0.0,), (1.0,), (0.0,))  # column
+        bands[0, cells[cells < self.n - 1] + 1] = 0.0  # row: A[i, i+1]
+        bands[2, cells[cells > 0] - 1] = 0.0  # row: A[i, i-1]
+        if mask[0] or mask[-1]:
+            self.corners = ()
+
+    def todense(self):
+        """Dense ``(n, n)`` copy (for diagnostics and small-system checks)."""
+        A = (np.diag(self.bands[1]) + np.diag(self.bands[0, 1:], 1)
+             + np.diag(self.bands[2, :-1], -1))
+        if self.corners:
+            A[0, -1] += self.corners[0]
+            A[-1, 0] += self.corners[1]
+        return A
+
+    def matvec(self, x):
+        """Product ``A @ x``."""
+        x = np.asarray(x, dtype=float)
+        y = self.bands[1] * x
+        y[:-1] += self.bands[0, 1:] * x[1:]
+        y[1:] += self.bands[2, :-1] * x[:-1]
+        if self.corners:
+            y[0] += self.corners[0] * x[-1]
+            y[-1] += self.corners[1] * x[0]
+        return y
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def solve(self, b):
+        """Solve ``A x = b``; a singular matrix or a solution that is not
+        finite raises :class:`SolverError` (an overflow raises no warning).
+
+        A diagonal matrix is solved by division, any other by LAPACK
+        ``dgtsv``.  Corners are split off as ``A = T + u v^T`` with
+        ``u = (gamma, 0, .., 0, A[n-1, 0])``, ``v = (1, 0, .., 0,
+        A[0, n-1] / gamma)``, ``gamma = -A[0, 0]``; ``T y = b`` and
+        ``T z = u`` share one call and ``x = y - (v.y / (1 + v.z)) z``,
+        refused as singular when ``1 + v.z`` is within rounding of zero.
+        """
+        b = np.asarray(b, dtype=float)
+        diag = self.bands[1]
+        if not (self.corners or self.bands[::2].any()):
+            if not diag.all():
+                raise SolverError("banded solve failed: singular matrix")
+            x = b / diag
+        else:
+            bands, rhs, owned = self.bands, b, False
+            if self.corners:
+                upper, lower = self.corners
+                gamma = -diag[0]
+                ratio = upper / gamma
+                bands = bands.copy()
+                bands[1, 0] -= gamma
+                bands[1, -1] -= lower * ratio
+                rhs = np.zeros((self.n, 2), order="F")
+                rhs[:, 0] = b
+                rhs[0, 1] = gamma
+                rhs[-1, 1] += lower
+                owned = True
+            if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
+                raise SolverError("banded solve failed: array must not "
+                                  "contain infs or NaNs")
+            # LAPACK may overwrite only the copies made above
+            dgtsv = _load_dgtsv()
+            *_, x, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs,
+                                owned, owned, owned, owned)
+            if info > 0:
+                raise SolverError("banded solve failed: singular matrix")
+            if self.corners:
+                y, z = x[:, 0], x[:, 1]
+                denom = 1.0 + z[0] + ratio * z[-1]
+                scale = 1.0 + abs(z[0]) + abs(ratio * z[-1])
+                if abs(denom) <= 8 * math.ulp(1.0) * scale:
+                    raise SolverError("banded solve failed: singular matrix")
+                x = y - ((y[0] + ratio * y[-1]) / denom) * z
+        if not np.isfinite(x).all():
+            raise SolverError("banded solve failed: non-finite solution")
+        return x
 
 
 class _Fields:
@@ -266,8 +431,6 @@ class _RunContext:
         :func:`_bed_operator`'s diagonal parts and a copy, the caller's to
         change, of the ``BandedMatrix`` of its off-diagonals with a zero
         diagonal (boundary folds aside)."""
-        from .solver import BandedMatrix
-
         b, parts = self._operator
         if f.bed_offset != b:
             sub, X, Y, sup = _bed_operator(f.zp, self.zbx_ring, self.dx,
@@ -475,7 +638,7 @@ class DispersiveSystem:
 
     Attributes
     ----------
-    A : swdisp.solver.BandedMatrix
+    A : BandedMatrix
         Depth-integrated inertia operator: tridiagonal for the dispersive
         tiers (symmetric-positive structure, diagonally dominant for
         resolved depths, two corners on periodic domains), ``diag(H)`` for
@@ -495,7 +658,7 @@ class DispersiveSystem:
         Face depths the advective core's reconstruction clamped to zero.
     """
 
-    A: "object"
+    A: BandedMatrix
     F: np.ndarray
     dHdt: np.ndarray
     friction: np.ndarray
@@ -588,8 +751,6 @@ def assemble_dispersive(state, bathy, params, grid, tier, *,
     -------
     DispersiveSystem
     """
-    from .solver import BandedMatrix
-
     context = _RunContext.of(context, bathy, params, grid)
     f = context.fields(state)
     H, u = f.H, f.u
@@ -620,8 +781,6 @@ def _dispersive_terms(f, context, tier, F):
     flux, ``B`` the bottom-pressure flux (both over ``H``, on the width-1
     ring), and ``P`` the pointwise terms that the bed slope multiplies.
     """
-    from .solver import BandedMatrix
-
     dx, boundary = f.dx, context.boundary
     H, u, zb = f.H, f.u, f.zb
 

@@ -311,11 +311,11 @@ with contextlib.redirect_stdout(io.StringIO()):
                                           "--out", out + "/blocked"])
     del sys.modules["scipy.linalg"]
 load_config(nh1)
-from swdisp import solver
-seen["nh1_cached"] = solver._load_dgtsv.cache_info().currsize
+from swdisp import models
+seen["nh1_cached"] = models._load_dgtsv.cache_info().currsize
 seen["nh1_modules"] = [m in sys.modules for m in ("scipy.linalg", "numpy.f2py")]
 import scipy.linalg.lapack
-seen["same_dgtsv"] = scipy.linalg.lapack.dgtsv is solver._load_dgtsv()
+seen["same_dgtsv"] = scipy.linalg.lapack.dgtsv is models._load_dgtsv()
 seen["files"] = [sorted(p.name for p in Path(out, d).iterdir())
                  for d in ("plain", "blocked")]
 print(json.dumps(seen))
@@ -525,6 +525,15 @@ def test_steady_check_nonhydro2_is_informational(tmp_path, capsys):
     assert rc == 0
     assert "NonHydro2" in out
     assert "hydrostatic part" in out
+
+
+@pytest.mark.parametrize("tier", ["Hydrostatic", "PeregrineInviscid"])
+def test_steady_check_refuses_a_tier_without_a_check(tmp_path, capsys, tier):
+    with pytest.raises(SystemExit) as stop:
+        main(["steady-check", "--config", _write(tmp_path, SMOOTH),
+              "--tier", tier])
+    assert stop.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_steady_check_bad_config_exits_2(tmp_path, capsys):

@@ -24,7 +24,7 @@ from swdisp.core import (
     SinusoidMotion,
     ZeroPressure,
 )
-from swdisp import solver
+from swdisp import models, solver
 from swdisp.models import ModelTier
 from swdisp.solver import (BandedMatrix, SolverError, StepControls, run_simulation,
                            stable_dt, step)
@@ -107,18 +107,18 @@ def test_dgtsv_fallback_is_the_routine_of_scipy_linalg_lapack(monkeypatch):
             return None
         return find_spec(name, path, target)
 
-    solver._load_dgtsv.cache_clear()
+    models._load_dgtsv.cache_clear()
     try:
         direct = [A.solve(b) for A, b in systems]
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                             classmethod(no_flapack))
-        solver._load_dgtsv.cache_clear()
-        assert solver._load_dgtsv() is scipy.linalg.lapack.dgtsv
+        models._load_dgtsv.cache_clear()
+        assert models._load_dgtsv() is scipy.linalg.lapack.dgtsv
         assert "scipy.linalg._flapack" in asked
         for (A, b), x in zip(systems, direct):
             assert np.array_equal(A.solve(b), x)
     finally:
-        solver._load_dgtsv.cache_clear()
+        models._load_dgtsv.cache_clear()
 
 
 def test_banded_solve_residual_check():

@@ -1,14 +1,20 @@
 """Static checks of the package source.
 
-Each module of ``src/swdisp`` is parsed with :mod:`ast`; every name it
+Each module of ``src/swdisp`` is parsed with :mod:`ast`.  Every name it
 imports must be read somewhere in the module or be listed in its
-``__all__``.  ``from __future__ import annotations`` is exempt.
+``__all__``; ``from __future__ import annotations`` is exempt.  Imports sit
+at module level, in one order (``core``, ``closures``, ``models``,
+``diagnostics``, ``solver``, then ``io`` and ``cli``), except the two that
+keep heavy libraries out of set-up: ``from .manufactured import ...``
+(sympy) and the imports inside ``models._load_dgtsv`` (LAPACK).
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from swdisp import core, models, solver
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "swdisp"
 MODULES = sorted(SRC.glob("*.py"))
@@ -39,6 +45,64 @@ def _exported(tree):
                         for t in node.targets)):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def _deferred_imports(tree):
+    """``(line, function, source)`` of each import inside a function body,
+    except ``from .manufactured import ...`` and those in ``_load_dgtsv``."""
+    found = []
+
+    def visit(node, functions):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, functions + (child.name,))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                manufactured = (isinstance(child, ast.ImportFrom)
+                                and child.level == 1
+                                and child.module == "manufactured")
+                if (functions and not manufactured
+                        and "_load_dgtsv" not in functions):
+                    found.append((child.lineno, functions[-1],
+                                  ast.unparse(child)))
+            else:
+                visit(child, functions)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    deferred = _deferred_imports(tree)
+    assert not deferred, f"{path.name}: imports inside functions " + ", ".join(
+        f"{source!r} in {function} (line {line})"
+        for line, function, source in deferred)
+
+
+def test_the_operator_and_the_tiers_have_one_home():
+    """``models`` owns the banded operator and imports nothing from
+    ``solver``, which re-exports it; ``ModelTier`` lives in ``core``."""
+    tree = ast.parse((SRC / "models.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "solver"]
+    assert solver.BandedMatrix is models.BandedMatrix
+    assert solver.SolverError is models.SolverError
+    assert models.ModelTier is core.ModelTier
+    assert core.ModelTier.__module__ == "swdisp.core"
+
+
+def test_deferred_import_is_reported():
+    tree = ast.parse("import numpy as np\n"
+                     "def f():\n    from .models import ModelTier\n"
+                     "    if True:\n        import math\n"
+                     "def g():\n    from .manufactured import get_case\n"
+                     "    from . import manufactured\n"
+                     "def _load_dgtsv():\n    import scipy\n"
+                     "    def inner():\n        import os\n")
+    assert [(line, function) for line, function, _ in _deferred_imports(tree)
+            ] == [(3, "f"), (5, "f"), (8, "g")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -10,6 +10,10 @@ versions of the code compute the same trajectories:
     PYTHONPATH=<checkout B>/src python tools/parity.py --out b.npz
     python tools/parity.py --compare a.npz b.npz [--tol 0]
 
+``--out`` also runs ``swdisp run --out`` on the four configs of
+:data:`CLI_RUNS` and stores every file each run writes, with its build tag
+deleted.
+
 ``--compare`` prints, for each scenario, the largest relative difference
 (``max|a - b| / max(|a|, |b|)`` over each array, infinite when the shapes,
 the NaN positions or the error texts differ) of its state (``H``, ``q``,
@@ -18,7 +22,9 @@ largest of each over all scenarios on the last line.  Report columns such
 as ``budget_residual`` are differences of nearly equal numbers, so they
 move far more than the state they report on.  It exits 1 when either
 difference of any scenario exceeds ``--tol`` (default 0: bit-identical
-values).
+values).  Before its last line it reports each ``swdisp run --out`` run as
+identical, or names the files that differ, are missing or are extra in B;
+these bytes do not decide the exit code.
 
 The grid is 4 tiers x 3 boundaries x 3 beds (Gaussian bump of amplitude
 0.3, emerging island of amplitude 1.05 at the centre, island of amplitude
@@ -37,14 +43,21 @@ class, the first that applies in this order: ``error`` (the run raised),
 ``cut`` (it reached ``MAX_STEPS``), ``absurd`` (the final max H exceeds
 ``ABSURD_H`` or max |q| exceeds ``ABSURD_Q``, or either is not finite),
 ``drift`` (on a Wall or Periodic domain, the reported mass moves from its
-first value by more than ``MASS_DRIFT`` relative) and ``sane``.
+first value by more than ``MASS_DRIFT`` relative) and ``sane``; the
+``swdisp run --out`` runs are not counted.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
+import os
+import re
+import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -60,6 +73,24 @@ BEDS = {"bump": (5.0, 1.0, 0.3), "island": (5.0, 1.0, 1.05),
 ABSURD_H, ABSURD_Q, MASS_DRIFT = 2.5, 50.0, 1e-12
 CLOSED = ("Wall", "Periodic")
 CLASSES = ("error", "cut", "absurd", "drift", "sane")
+# swdisp run --out runs: the perfbench cli-hydro-out config at n = 256
+# (Hydrostatic, Wall), and to t = 0.5 the same config with wall-law friction
+# run as NonHydro2, as NonHydro1 on a Periodic domain with k_l = 0.01
+# (periodic corners and the bed operator), and as PeregrineInviscid on a
+# Copy domain (copy folds and the inviscid core): (name, changes to the
+# workload, further arguments of swdisp run)
+CLI_RUNS = (
+    ("hydro", {}, ()),
+    ("nh2-friction", {"k_l": 0.01, "k_t": 0.05},
+     ("--t-end", "0.5", "--tier", "NonHydro2")),
+    ("nh1-periodic", {"tier": "NonHydro1", "boundary": "Periodic",
+                      "k_l": 0.01}, ("--t-end", "0.5")),
+    ("peregrine-copy", {"tier": "PeregrineInviscid", "boundary": "Copy"},
+     ("--t-end", "0.5")),
+)
+CLI_CELLS = 256
+CLI_PREFIX = "swdisp-run:"  # of the keys that hold the files of a CLI run
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def scenarios():
@@ -126,6 +157,51 @@ def _run(tier, boundary, bed, order, motion, forcing):
     return out
 
 
+def cli_config(name):
+    """Config text of the :data:`CLI_RUNS` run ``name``, written by
+    ``perfbench/workloads.py`` at its default seed."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import WORKLOADS, config_text, inputs_from_seed
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    changes = next(c for run, c, _ in CLI_RUNS if run == name)
+    workload = dataclasses.replace(WORKLOADS["cli-hydro-out"], **changes)
+    return config_text(workload, inputs_from_seed(0), CLI_CELLS)
+
+
+def cli_files():
+    """``{key: bytes}`` of every file the :data:`CLI_RUNS` write, each
+    ``swdisp run --out`` run by the ``swdisp`` this process imports, with
+    the build tags deleted; a run that fails leaves its exit code and
+    standard error in an ``error`` entry instead."""
+    import swdisp
+
+    src = str(Path(swdisp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, _, args in CLI_RUNS:
+            config, out = Path(tmp, f"{name}.cfg"), Path(tmp, name)
+            config.write_text(cli_config(name))
+            proc = subprocess.run(
+                [sys.executable, "-m", "swdisp.cli", "run", "--config",
+                 str(config), *args, "--out", str(out)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            key = f"{CLI_PREFIX}{name}/"
+            if proc.returncode:
+                files[key + "error"] = (f"exit {proc.returncode}: ".encode()
+                                        + proc.stderr)
+            else:
+                for path in sorted(out.iterdir()):
+                    files[key + path.name] = re.sub(
+                        rb"build ?= ?[^ \n]*", b"", path.read_bytes())
+            print(f"swdisp run --out ({name}): "
+                  f"{'failed' if proc.returncode else 'ok'}", flush=True)
+    return files
+
+
 def sweep(path):
     arrays = {}
     for name, args in scenarios():
@@ -136,7 +212,35 @@ def sweep(path):
             out = {"error": np.array(f"{type(exc).__name__}: {exc}")}
         print(f"{name}: {out['error'] or 'ok'}", flush=True)
         arrays.update({f"{name}/{key}": v for key, v in out.items()})
+    arrays.update({key: np.frombuffer(data, dtype=np.uint8)
+                   for key, data in cli_files().items()})
     np.savez_compressed(path, **arrays)
+
+
+def _names(sweep_file):
+    """The scenario names of a loaded sweep file, sorted."""
+    return sorted({key.split("/")[0] for key in sweep_file.files
+                   if not key.startswith(CLI_PREFIX)})
+
+
+def _compare_cli_runs(a, b):
+    """Print one line per :data:`CLI_RUNS` run: identical, or the files of
+    B that differ from A's, are missing or are extra."""
+    for name, _, _ in CLI_RUNS:
+        prefix = f"{CLI_PREFIX}{name}/"
+        files_a = {k[len(prefix):] for k in a.files if k.startswith(prefix)}
+        files_b = {k[len(prefix):] for k in b.files if k.startswith(prefix)}
+        if not (files_a and files_b):
+            verdict = "absent from " + ("A and B" if files_a == files_b
+                                        else "B" if files_a else "A")
+        else:
+            verdict = " ".join(
+                [f for f in sorted(files_a & files_b)
+                 if not np.array_equal(a[prefix + f], b[prefix + f])]
+                + [f"missing:{f}" for f in sorted(files_a - files_b)]
+                + [f"extra:{f}" for f in sorted(files_b - files_a)]
+            ) or "identical"
+        print(f"swdisp run --out ({name}): {verdict}")
 
 
 def _difference(a, b):
@@ -161,8 +265,7 @@ def _largest(differences):
 
 def compare(path_a, path_b, tol):
     a, b = np.load(path_a), np.load(path_b)
-    names = sorted({key.split("/")[0] for key in a.files}
-                   | {key.split("/")[0] for key in b.files})
+    names = sorted(set(_names(a)) | set(_names(b)))
     worst = {"state": (0.0, ""), "report": (0.0, "")}
     failed = []
     for name in names:
@@ -182,6 +285,7 @@ def compare(path_a, path_b, tol):
                 worst[kind] = (d, f"{name}/{field}")
         if max(d for d, _ in largest.values()) > tol:
             failed.append(name)
+    _compare_cli_runs(a, b)
     print(f"{len(names)} scenarios, {len(failed)} above tol {tol:g}, "
           f"largest {_largest(worst)}")
     return 1 if failed else 0
@@ -207,9 +311,8 @@ def classify(sweep_file, name):
 
 def census(path):
     sweep_file = np.load(path)
-    names = sorted({key.split("/")[0] for key in sweep_file.files})
     counts = {}
-    for name in names:
+    for name in _names(sweep_file):
         row = counts.setdefault(name.split("-")[0], dict.fromkeys(CLASSES, 0))
         row[classify(sweep_file, name)] += 1
     counts["total"] = {c: sum(row[c] for row in counts.values())
