@@ -29,6 +29,7 @@ from .core import (BathymetryField, Boundary, FlatBed, FlowState,
                    GaussianBump, GaussianPulseMotion, GradientPressure, Grid,
                    PhysicalParams, RegimeClass, ScalingRegime, SinusoidMotion,
                    StaticBed, ZeroPressure, classify_regime)
+from .csvtext import csv_body
 from .models import (DRY_THRESHOLD, ModelTier, _centered_difference,
                      _interior, _load_dgtsv, _pad, _RunContext,
                      assemble_dispersive)
@@ -47,13 +48,6 @@ SNAPSHOT_FIELDS = ("w_bottom", "w_surface", "p_bottom")
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
-
-
-def _csv_rows(columns):
-    """One CSV line per row of the equal-length number ``columns``, each
-    value with 17 significant digits (``"%.17g" % v`` is ``_fmt(v)``)."""
-    row = ",".join(["%.17g"] * len(columns))
-    return [row % values for values in zip(*columns)]
 
 
 class ConfigError(ValueError):
@@ -612,20 +606,19 @@ def write_snapshot(state, bathy, params, grid, tier, path, fields=()) -> None:
     columns.update(_derived_columns(state, context, tier, ordered))
 
     names = ("x", "H", "u_bar", "eta", "z_b") + ordered
-    lines = [f"# t={_fmt(state.t)} tier={tier.value} build={_build_tag()}",
-             ",".join(names)]
-    lines += _csv_rows([columns[name].tolist() for name in names])
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = (f"# t={_fmt(state.t)} tier={tier.value} build={_build_tag()}\n"
+            + ",".join(names) + "\n")
+    Path(path).write_bytes(
+        head.encode() + csv_body([columns[name] for name in names]))
 
 
 def write_timeseries(reports, path) -> None:
     """Write per-step energy reports as CSV (one row per report)."""
     names = ("t", "mass", "momentum", "E_h", "E_ext", "dissipation_rate",
              "budget_residual")
-    lines = [",".join(names)]
-    lines += _csv_rows([[getattr(rep, name) for rep in reports]
-                        for name in names])
-    Path(path).write_text("\n".join(lines) + "\n")
+    body = csv_body([[getattr(rep, name) for rep in reports]
+                      for name in names])
+    Path(path).write_bytes((",".join(names) + "\n").encode() + body)
 
 
 def write_manifest(cfg: ScenarioConfig, path, extra=None) -> None:

@@ -210,6 +210,21 @@ class BandedMatrix:
         if mask[0] or mask[-1]:
             self.corners = ()
 
+    def _where(self, b):
+        """`` (operator row i, right-hand side row j)``: the first row of
+        ``A`` and of ``b`` that holds an inf or NaN, each named only where
+        there is one; empty where both are finite (the corner update
+        overflowed)."""
+        k, j = np.nonzero(~np.isfinite(self.bands))
+        rows = [j + k - 1]  # bands[k, j] is A[j + k - 1, j]
+        rows += [[i] for i, c in zip((0, self.n - 1), self.corners)
+                 if not math.isfinite(c)]
+        found = {"operator": np.concatenate(rows),
+                 "right-hand side": np.flatnonzero(~np.isfinite(b))}
+        named = [f"{what} row {int(i.min())}"
+                 for what, i in found.items() if i.size]
+        return f" ({', '.join(named)})" if named else ""
+
     def todense(self):
         """Dense ``(n, n)`` copy (for diagnostics and small-system checks)."""
         A = (np.diag(self.bands[1]) + np.diag(self.bands[0, 1:], 1)
@@ -232,7 +247,8 @@ class BandedMatrix:
 
     @np.errstate(over="ignore", invalid="ignore")
     def solve(self, b):
-        """Solve ``A x = b``; a singular matrix or a solution that is not
+        """Solve ``A x = b``; a singular matrix, an inf or NaN in the
+        operator or ``b`` (named by its first row) or a solution that is not
         finite raises :class:`SolverError` (an overflow raises no warning).
 
         A diagonal matrix is solved by division, any other by LAPACK
@@ -264,7 +280,7 @@ class BandedMatrix:
                 owned = True
             if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
                 raise SolverError("banded solve failed: array must not "
-                                  "contain infs or NaNs")
+                                  "contain infs or NaNs" + self._where(b))
             # LAPACK may overwrite only the copies made above
             dgtsv = _load_dgtsv()
             *_, x, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs,

@@ -191,8 +191,10 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     crossing of a multiple of that interval.  The run is deterministic:
     no wall-clock or randomized decisions enter the loop.  A NaN or
     infinite ``H`` or ``q`` in the initial or any later state raises
-    :class:`SolverError` with the step, time and first bad cell.  A
-    negative or NaN ``snapshot_interval`` raises ``ValueError``.
+    :class:`SolverError` with the step, time and first bad cell, and a
+    :class:`SolverError` of a step is raised again with ``at step k, t =
+    ...`` (the step's number and start time) appended.  A negative or NaN
+    ``snapshot_interval`` raises ``ValueError``.
     """
     if snapshot_interval is not None and not snapshot_interval >= 0.0:
         raise ValueError("snapshot_interval must be non-negative, got "
@@ -229,9 +231,13 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
         while s.t < t_end - guard:
             dt = stable_dt(s, params, grid, controls, context=context)
             dt = min(dt, t_end - s.t)
-            s = step(s, bathy, params, grid, tier, dt, stats=stats,
-                     sources=sources, first_order=controls.first_order,
-                     context=context)
+            try:
+                s = step(s, bathy, params, grid, tier, dt, stats=stats,
+                         sources=sources, first_order=controls.first_order,
+                         context=context)
+            except SolverError as err:
+                raise SolverError(f"{err} at step {stats['steps'] + 1}, "
+                                  f"t = {s.t:.6g}") from err
             stats["steps"] += 1
             _check_finite(s, stats["steps"])
             report(s)

@@ -17,12 +17,14 @@ import pytest
 
 import swdisp
 import swdisp.io as swio
+from swdisp import csvtext
 from swdisp.core import (BathymetryField, Boundary, FlatBed, FlowState,
                          GaussianBump, GaussianPulseMotion, GradientPressure,
                          Grid, PhysicalParams, SinusoidMotion, StaticBed,
                          ZeroPressure)
+from swdisp.csvtext import csv_body
 from swdisp.diagnostics import EnergyReport
-from swdisp.solver import StepControls
+from swdisp.solver import StepControls, run_simulation
 from swdisp.io import (ConfigError, DamBreak, GaussianHump, LakeAtRest,
                        Manufactured, MonochromaticWave, OutputSpec,
                        ScenarioConfig, build_initial_state, load_config,
@@ -689,6 +691,130 @@ def test_timeseries_bytes_match_per_value_formatting(tmp_path):
         [[getattr(rep, name) for rep in reports] for name in names])
     assert path.read_text() == "\n".join(expected) + "\n"
     assert expected[1].endswith(",nan,nan")
+
+
+# ---------------------------------------------------------------------------
+# the block formatter against the row formatter it replaced
+
+
+def _csv_rows(columns):
+    """The writers' former row formatter, kept as the oracle."""
+    row = ",".join(["%.17g"] * len(columns))
+    return [row % values for values in zip(*columns)]
+
+
+def _oracle_body(columns):
+    return "".join(line + "\n" for line in _csv_rows(columns)).encode()
+
+
+def _float_sweep():
+    """About 10^6 seeded doubles of every kind ``"%.17g"`` treats apart."""
+    rng = np.random.default_rng(20261020)
+    k = 50_000
+    # decimal ties: j 2^-s with j 5^s of 18 digits ends in 5 at digit 18
+    ties = []
+    for s in range(2, 26):
+        low, high = -(-10**17 // 5**s), min(10**18 // 5**s, 2**53)
+        if low < high:
+            ties.append(np.ldexp((rng.integers(low, high, 400) | 1)
+                                 .astype(float), -s))
+    edges = np.array([float(f"1e{e}") for e in range(-35, 35)]
+                     + [1e-99, 1e-100, 1e99, 1e100, 1e-300, 1e300, 5e-324,
+                        2.2250738585072014e-308, 0.5, 1.5, 9.5, 0.95])
+    parts = [
+        # any bit pattern: subnormals, three-digit exponents, inf and nan
+        rng.integers(0, 2**64, k, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(9 * k) * 10.0 ** rng.integers(-32, 33, 9 * k),
+        np.ldexp(rng.integers(-2**53, 2**53, 8 * k).astype(float),
+                 rng.integers(-70, 60, 8 * k)),
+        rng.integers(0, 10**17, 2 * k).astype(float),
+        *ties, edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        -edges, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+    ]
+    values = np.concatenate(parts)
+    rng.shuffle(values)
+    return values
+
+
+def test_block_formatter_matches_the_row_formatter():
+    """Each value of a 10^6-value sweep, in 1-, 3- and 8-column layouts
+    whose row counts are not a multiple of the block, gives the bytes of
+    ``"%.17g"``."""
+    values = _float_sweep()
+    assert values.size >= 10**6
+    start = 0
+    for ncols, rows in ((1, 100_001), (3, 70_001), (8, 87_001)):
+        assert rows % csvtext._BLOCK
+        block = values[start:start + ncols * rows].reshape(rows, ncols)
+        start += ncols * rows
+        columns = list(block.T)
+        assert csv_body(columns) == _oracle_body(
+            [c.tolist() for c in columns]), ncols
+    assert start <= values.size
+    rest = values[start:]
+    assert csv_body([rest]) == _oracle_body([rest.tolist()])
+
+
+def test_block_formatter_switch_points():
+    """The fixed-point and exponent forms meet at 1e-5 | 1e-4 and 1e16 |
+    1e17, and two-digit exponents meet three-digit ones at 1e+-100."""
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, 1e-99, 1e-100, 1e99, 1e100])
+    values = np.concatenate([edges, np.nextafter(edges, 0.0),
+                             np.nextafter(edges, np.inf)])
+    values = np.concatenate([values, -values])
+    assert csv_body([values]) == _oracle_body([values.tolist()])
+    text = csv_body([values]).decode().split()
+    assert {"1.0000000000000001e-05", "0.0001", "10000000000000000",
+            "1e+17", "1e-100", "1e+100"} <= set(text)
+
+
+def test_snapshot_of_a_nonhydro2_rest_state_matches_the_oracle(tmp_path):
+    """A NonHydro2 snapshot with every derived field, of a state at rest
+    (u = 0 exactly), with -0.0 and values below 1e-30, is byte for byte
+    the per-row formatting, header included."""
+    grid = Grid(0.0, 10.0, 40, Boundary.WALL)
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.3, level=-1.0))
+    params = PhysicalParams(nu=1e-3, k_l=1e-2)
+    x = grid.cell_centers
+    H = -bathy.elevation(x, 0.0)
+    H[[4, 9]] = [1e-35, 3e-300]
+    q = np.zeros(grid.n_cells)
+    q[[2, 9]] = -0.0
+    state = FlowState(t=0.5, H=H, q=q)
+    tier = ModelTier.NONHYDRO2
+    path = tmp_path / "snap.csv"
+    write_snapshot(state, bathy, params, grid, tier, path,
+                   fields=swio.SNAPSHOT_FIELDS)
+
+    zb = bathy.elevation(x, state.t)
+    derived = swio._derived_columns(
+        state, _RunContext(bathy, params, grid), tier, swio.SNAPSHOT_FIELDS)
+    columns = [x, H, state.velocity(), zb + H, zb] + [
+        derived[name] for name in swio.SNAPSHOT_FIELDS]
+    head = (f"# t=0.5 tier=NonHydro2 build={swio._build_tag()}\n"
+            "x,H,u_bar,eta,z_b,w_bottom,w_surface,p_bottom\n")
+    expected = head.encode() + _oracle_body([c.tolist() for c in columns])
+    assert path.read_bytes() == expected
+    text = path.read_text()
+    assert ",0,0," in text and "e-300," in text
+
+
+def test_timeseries_of_a_run_matches_the_oracle(tmp_path):
+    cfg = _load(tmp_path, MINIMAL.replace(
+        "kind = lake_at_rest\neta0 = 0.0",
+        "kind = gaussian_hump\namplitude = 0.05\ncenter = 5.0\nwidth = 0.8"))
+    result = run_simulation(
+        build_initial_state(cfg), cfg.bathymetry, cfg.params, cfg.grid,
+        cfg.tier, dataclasses.replace(cfg.controls, t_end=0.05))
+    names = ("t", "mass", "momentum", "E_h", "E_ext", "dissipation_rate",
+             "budget_residual")
+    path = tmp_path / "series.csv"
+    write_timeseries(result.reports, path)
+    expected = (",".join(names) + "\n").encode() + _oracle_body(
+        [[getattr(rep, name) for rep in result.reports] for name in names])
+    assert len(result.reports) > 2
+    assert path.read_bytes() == expected
 
 
 def test_build_tag_survives_hung_git(monkeypatch):

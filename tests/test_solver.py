@@ -200,11 +200,12 @@ _NONFINITE_CASES = [
 
 
 @pytest.mark.parametrize("boundary,where,value", _NONFINITE_CASES)
-def test_non_finite_input_raises_solver_error_with_fixed_text(boundary, where,
-                                                               value):
+def test_non_finite_input_raises_solver_error_naming_its_row(boundary, where,
+                                                             value):
     """A NaN or infinity in any band, either periodic corner or the
     right-hand side stops the solve with one text, which the CLI and the
-    run's error reports quote."""
+    run's error reports quote, and the first row of ``A`` or ``b`` that
+    holds it."""
     rng = np.random.default_rng(6)
     n = 10
     A = banded_from_stencils(random_stencils(n, rng), boundary)
@@ -219,8 +220,26 @@ def test_non_finite_input_raises_solver_error_with_fixed_text(boundary, where,
         A.bands[{"sup": 0, "diag": 1, "sub": 2}[where], 4] = value
     with pytest.raises(SolverError) as err:
         A.solve(b)
+    row = {"sup": "operator row 3", "diag": "operator row 4",
+           "sub": "operator row 5", "b": "right-hand side row 4",
+           "upper": "operator row 0", "lower": f"operator row {n - 1}"}
     assert str(err.value) == ("banded solve failed: array must not contain "
-                              "infs or NaNs")
+                              f"infs or NaNs ({row[where]})")
+
+
+def test_non_finite_solve_names_the_first_bad_row_of_each_input():
+    """A NaN in row 5 of ``A`` and infinities in rows 7 and 2 of ``b``."""
+    rng = np.random.default_rng(7)
+    A = banded_from_stencils(random_stencils(12, rng), Boundary.WALL)
+    A.bands[1, 5] = np.nan
+    b = rng.standard_normal(12)
+    b[[7, 2]] = np.inf
+    with pytest.raises(SolverError, match=r"NaNs \(operator row 5, "
+                       r"right-hand side row 2\)$"):
+        A.solve(b)
+    b[:] = 0.0
+    with pytest.raises(SolverError, match=r"NaNs \(operator row 5\)$"):
+        A.solve(b)
 
 
 def _overflowing_system(branch):
@@ -827,3 +846,33 @@ def test_blow_up_ends_with_the_solver_error_and_no_numpy_warning():
                            grid, ModelTier.NONHYDRO2,
                            StepControls(t_end=0.5, cfl=0.45))
     assert [str(w.message) for w in caught] == []
+
+
+def test_a_step_error_names_its_step_and_time(monkeypatch):
+    """The blow-up above stops in a step's solve; the error keeps the
+    solve's text and ends with the number of that step and the time it
+    started from."""
+    grid = Grid(0.0, 10.0, 256, Boundary.WALL)
+    x = grid.cell_centers
+    bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
+                                         amplitude=0.5, level=-1.0))
+    eta = 0.05 * np.exp(-0.5 * ((x - 3.0) / 0.5)**2)
+    H = lake_at_rest(grid, bathy, eta0=eta).H
+    starts = []
+
+    def recorded(state, *args, **kwargs):
+        starts.append(state.t)
+        return step(state, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", recorded)
+    with pytest.raises(SolverError) as err:
+        run_simulation(FlowState(t=0.0, H=H, q=0.1 * H), bathy,
+                       PhysicalParams(nu=1e-3, k_l=0.01), grid,
+                       ModelTier.NONHYDRO2, StepControls(t_end=0.5, cfl=0.45),
+                       collect_reports=False)
+    message = str(err.value)
+    assert message.startswith("banded solve failed: array must not contain "
+                              "infs or NaNs (")
+    assert message.endswith(f") at step {len(starts)}, t = {starts[-1]:.6g}")
+    assert len(starts) > 1 and 0.0 < starts[-1] < 0.5
+    assert isinstance(err.value.__cause__, SolverError)

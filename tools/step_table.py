@@ -1,4 +1,4 @@
-"""Per-tier cost of one step and one energy report inside ``run_simulation``.
+"""Per-tier cost of one step, one energy report and one snapshot write.
 
 Runs the benchmark geometry (domain [0, 20], Gaussian bed bump of amplitude
 0.3 on level -1, a surface hump of amplitude 0.05 released from rest,
@@ -6,9 +6,13 @@ periodic boundaries, nu = 1e-3, k_l = 1e-2) for each tier at n = 256, 1024
 and 8192, and at n = 8192 on a bed moving as ``b(t) = 0.01 sin(2 t)``
 ("8192 sinusoidal"), with energy reports on.  A report costs the time spent
 inside ``diagnostics.energy_reports``, which the script times by wrapping
-it; a step costs the rest of the run's wall time.  Both are given per step,
-as the median over ``PAIRS`` runs of each tier and row, after one untimed
-run that loads what a run loads lazily.
+the name that ``run_simulation`` calls it by in ``swdisp.solver``; a step
+costs the rest of the run's wall time.  Both are given per step, as the
+median over ``PAIRS`` runs of each tier and row, after one untimed run that
+loads what a run loads lazily.  A write costs one ``io.write_snapshot`` of
+the run's final state with every derived field (``SNAPSHOT_FIELDS``) into a
+temporary directory, timed after each run with the same tree's modules, and
+is given per call.
 
 A tier's set-up is what a run pays before its first step: the wall time,
 in a fresh interpreter, to import ``swdisp.cli`` and ``load_config`` the
@@ -20,10 +24,10 @@ by n = 8192 runs would report that process's peak instead of its own.
 
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json
 
-prints the table (µs, step / report) and writes it as JSON, with the step
-time's quartiles, the Python, numpy and scipy versions and the commit of
-the swdisp source that ran; a ``PYTHONPATH`` naming another checkout's
-``src`` measures that checkout.
+prints the table (µs, step / report / write) and writes it as JSON, with
+the step time's quartiles, the Python, numpy and scipy versions and the
+commit of the swdisp source that ran; a ``PYTHONPATH`` naming another
+checkout's ``src`` measures that checkout.
 
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json \\
         --parent <parent checkout>/src
@@ -137,8 +141,8 @@ def run(tree, tier_name, label):
     with installed(tree):
         grid, bathy, state, params, controls = _scenario(tree, n, moving)
         tier = tree["swdisp.models"].ModelTier(tier_name)
-        diagnostics = tree["swdisp.diagnostics"]
-        energy_reports, spent = diagnostics.energy_reports, [0.0]
+        solver = tree["swdisp.solver"]  # run_simulation's own binding
+        energy_reports, spent = solver.energy_reports, [0.0]
 
         def timed(*args, **kwargs):
             start = time.perf_counter()
@@ -147,34 +151,56 @@ def run(tree, tier_name, label):
             finally:
                 spent[0] += time.perf_counter() - start
 
-        diagnostics.energy_reports = timed
+        solver.energy_reports = timed
         try:
             start = time.perf_counter()
-            result = tree["swdisp.solver"].run_simulation(
-                state, bathy, params, grid, tier, controls)
+            result = solver.run_simulation(state, bathy, params, grid, tier,
+                                           controls)
             wall = time.perf_counter() - start
         finally:
-            diagnostics.energy_reports = energy_reports
+            solver.energy_reports = energy_reports
     count = result.stats["steps"]
     return (wall - spent[0]) / count, spent[0] / count, result.states[-1]
 
 
+def write(tree, tier_name, label, state, path):
+    """Seconds of one ``io.write_snapshot`` of ``state``, with every derived
+    field, by ``tree`` on a tier and row's scenario."""
+    _, n, moving = next(row for row in ROWS if row[0] == label)
+    with installed(tree):
+        grid, bathy, _, params, _ = _scenario(tree, n, moving)
+        io = tree["swdisp.io"]
+        tier = tree["swdisp.models"].ModelTier(tier_name)
+        start = time.perf_counter()
+        io.write_snapshot(state, bathy, params, grid, tier, path,
+                          fields=io.SNAPSHOT_FIELDS)
+        return time.perf_counter() - start
+
+
 def measure(trees):
-    """``{(tier, label): [(step_s, report_s), ...]}`` per tree in ``trees``,
-    ``PAIRS`` runs each.  Pairs run round-robin over the tiers and rows, so
-    every cell's runs span the whole measurement; within a pair the tree
-    that goes first alternates from one pair to the next and from one cell
-    to the next."""
+    """``{(tier, label): [(step_s, report_s, write_s), ...]}`` per tree in
+    ``trees``, ``PAIRS`` runs each, each run followed by the write of its
+    final state.  Pairs run round-robin over the tiers and rows, so every
+    cell's runs span the whole measurement; within a pair the tree that goes
+    first alternates from one pair to the next and from one cell to the
+    next."""
     cells = [(tier, label) for tier in TIERS for label, _, _ in ROWS]
     times = [{cell: [] for cell in cells} for _ in trees]
-    for cell in cells:
-        for tree in trees:
-            run(tree, *cell)
-    for pair in range(PAIRS):
-        for i, cell in enumerate(cells):
-            order = range(len(trees))
-            for k in (order if (pair + i) % 2 == 0 else reversed(order)):
-                times[k][cell].append(run(trees[k], *cell)[:2])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "snapshot.csv")
+
+        def timed(k, cell):
+            step_s, report_s, final = run(trees[k], *cell)
+            return step_s, report_s, write(trees[k], *cell, final, path)
+
+        for cell in cells:
+            for k in range(len(trees)):
+                timed(k, cell)
+        for pair in range(PAIRS):
+            for i, cell in enumerate(cells):
+                order = range(len(trees))
+                for k in (order if (pair + i) % 2 == 0 else reversed(order)):
+                    times[k][cell].append(timed(k, cell))
     return times
 
 
@@ -232,7 +258,7 @@ def _print_table(table, wins):
     for label, _, _ in ROWS:
         cells = []
         for t in TIERS:
-            text = f"{table[t][label][0]} / {table[t][label][1]}"
+            text = " / ".join(str(us) for us in table[t][label])
             if wins is not None:
                 text += f" ({wins[t][label]})"
             cells.append(text.ljust(len(t)))
@@ -263,9 +289,9 @@ def main(argv=None):
             if wins is not None:
                 wins[tier] = {}
             for label, _, _ in ROWS:
-                steps, reports = zip(*times[k][tier, label])
-                table[tier][label] = [_us(statistics.median(steps)),
-                                      _us(statistics.median(reports))]
+                steps, reports, writes = zip(*times[k][tier, label])
+                table[tier][label] = [_us(statistics.median(column))
+                                      for column in (steps, reports, writes)]
                 q1, _, q3 = statistics.quantiles(steps, n=4)
                 quartiles[tier][label] = [_us(q1), _us(q3)]
                 if wins is not None:
@@ -278,7 +304,8 @@ def main(argv=None):
             print(f"set-up {tier}: {seconds:.3f} s, peak RSS {rss:.1f} MB")
         if out:
             record = {
-                "unit": "us per step / us per report",
+                "unit": "us per step / us per report / us per snapshot "
+                        "write",
                 "table": table,
                 "step_quartiles_us": quartiles,
                 "setup": {t: {"s": round(seconds, 4),
