@@ -22,7 +22,6 @@ from swdisp.core import (BathymetryField, Boundary, FlatBed, FlowState,
                          GaussianBump, GaussianPulseMotion, GradientPressure,
                          Grid, PhysicalParams, SinusoidMotion, StaticBed,
                          ZeroPressure)
-from swdisp.csvtext import csv_body
 from swdisp.diagnostics import EnergyReport
 from swdisp.solver import StepControls, run_simulation
 from swdisp.io import (ConfigError, DamBreak, GaussianHump, LakeAtRest,
@@ -748,11 +747,11 @@ def test_block_formatter_matches_the_row_formatter():
         block = values[start:start + ncols * rows].reshape(rows, ncols)
         start += ncols * rows
         columns = list(block.T)
-        assert csv_body(columns) == _oracle_body(
+        assert csvtext.csv_body(columns) == _oracle_body(
             [c.tolist() for c in columns]), ncols
     assert start <= values.size
     rest = values[start:]
-    assert csv_body([rest]) == _oracle_body([rest.tolist()])
+    assert csvtext.csv_body([rest]) == _oracle_body([rest.tolist()])
 
 
 def test_block_formatter_switch_points():
@@ -762,8 +761,8 @@ def test_block_formatter_switch_points():
     values = np.concatenate([edges, np.nextafter(edges, 0.0),
                              np.nextafter(edges, np.inf)])
     values = np.concatenate([values, -values])
-    assert csv_body([values]) == _oracle_body([values.tolist()])
-    text = csv_body([values]).decode().split()
+    assert csvtext.csv_body([values]) == _oracle_body([values.tolist()])
+    text = csvtext.csv_body([values]).decode().split()
     assert {"1.0000000000000001e-05", "0.0001", "10000000000000000",
             "1e+17", "1e-100", "1e+100"} <= set(text)
 
