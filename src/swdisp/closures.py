@@ -2,10 +2,9 @@
 velocity profile, the affine vertical velocity field, and column pressure
 reconstructions.
 
-All functions operate elementwise on scalars or broadcasting arrays: a
-state's cells, or for the energy reports 2-D blocks with one row per
-state.  Depth integrals used elsewhere are supplied here in closed form so
-they can be checked against independent quadrature.
+All functions operate elementwise on scalars or broadcasting arrays, such
+as a state's cells.  Depth integrals used elsewhere are supplied here in
+closed form so they can be checked against independent quadrature.
 """
 
 from __future__ import annotations

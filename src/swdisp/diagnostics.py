@@ -9,8 +9,8 @@ depth-integrated viscous dissipation, bed-friction dissipation (neither for
 the inviscid tier), and the work done by a moving bottom.  The extended
 energy adds the vertical kinetic energy of the tier's vertical-velocity
 closure (and the modified-height kinetic correction of the fully nonlinear
-tier).  :func:`energy_reports` computes the reports of a block of states at
-once, on 2-D arrays with one row per state.
+tier).  :func:`energy_reports` computes each state's report on the field
+bundle that its time step and stages use.
 
 Phase speeds are measured by projecting the free surface onto a single
 Fourier mode and fitting the phase drift over time.
@@ -77,59 +77,53 @@ def energy_extended(state, bathy, params, grid, tier):
 
 
 def energy_reports(states, bathy, params, grid, tier, *, context=None):
-    """One :class:`EnergyReport` per state, computed for the block at once
-    on 2-D fields with one row per state; every integral is a row sum, so
-    each report equals that of its state alone.  The hydrostatic tier
-    reports ``E_ext = E_h``; the inviscid tier's budget carries no viscous
-    or friction dissipation.  ``context`` is the run's
-    ``models._RunContext`` (built when absent; one built from other
-    ``bathy``, ``params`` or ``grid`` raises ``ValueError``)."""
-    states = list(states)
-    if not states:
-        return []
+    """One :class:`EnergyReport` per state, each computed on its state's
+    field bundle.  The hydrostatic tier reports ``E_ext = E_h``; the
+    inviscid tier's budget carries no viscous or friction dissipation.
+    ``context`` is the run's ``models._RunContext`` (built when absent; one
+    built from other ``bathy``, ``params`` or ``grid`` raises
+    ``ValueError``)."""
     context = _RunContext.of(context, bathy, params, grid)
-    f = context.block(states)
-    x, dx, H, u = f.x, f.dx, f.H, f.u
+    return [_report(context.fields(s), context, tier) for s in states]
+
+
+def _report(f, context, tier):
+    """The :class:`EnergyReport` of the state whose bundle is ``f``."""
+    params, dx, H, u = context.params, f.dx, f.H, f.u
     kappa_ring = _ring_kappa(f, tier)
 
     E_h = H * u**2 / 2 + params.g * H * (f.eta + f.zb) / 2
     if context.zero_pressure:  # no H p_a energy; -(H * 0).sum() is -0.0
-        rate = np.full(len(states), -0.0)
+        rate = -0.0
     else:
-        p_a, p_t = np.empty_like(H), np.empty_like(H)
-        for row, s in enumerate(states):
-            p_a[row] = params.p_atm.value(x, s.t)
-            p_t[row] = params.p_atm.rate_t(x, s.t)
-        E_h = E_h + H * p_a
-        rate = -((H * p_t).sum(axis=-1) * dx)
-    E_h = E_h.sum(axis=-1) * dx
+        E_h = E_h + H * params.p_atm.value(f.x, f.t)
+        rate = -((H * params.p_atm.rate_t(f.x, f.t)).sum() * dx)
+    E_h = E_h.sum() * dx
 
     dudx = _interior(f.ux_ring)
     if params.nu > 0.0 and tier is not ModelTier.PEREGRINE_INVISCID:
-        rate = rate - (4.0 * params.nu * H * dudx**2).sum(axis=-1) * dx
+        rate = rate - (4.0 * params.nu * H * dudx**2).sum() * dx
     # kappa_eff u^2 also for NonHydro1/2, whose stages damp with the bed factor
     if kappa_ring is not None:
-        rate = rate - (f.kappa_eff * u**2).sum(axis=-1) * dx
+        rate = rate - (f.kappa_eff * u**2).sum() * dx
     # a bed at rest does no work (adding its 0.0 would turn -0.0 into 0.0)
-    work = (params.g * H * f.bed_rate).sum(axis=-1) * dx
-    rate = np.where(f.bed_rate[:, 0] != 0.0, rate + work, rate)
+    if f.bed_rate != 0.0:
+        rate = rate + (params.g * H * f.bed_rate).sum() * dx
 
     E_ext = E_h
     if tier is not ModelTier.HYDROSTATIC:
         wsq = depth_integrated_w_squared(H, f.eta, f.zb, u, dudx,
                                          _interior(f.zbx_ring), f.bed_rate)
-        extra = (0.5 * wsq).sum(axis=-1) * dx
+        extra = (0.5 * wsq).sum() * dx
         if (tier is ModelTier.NONHYDRO2 and params.nu > 0.0
                 and kappa_ring is not None):
             kappa = _interior(kappa_ring)
             modified = 2.0 * kappa**2 * H**3 / (15.0 * params.nu**2)
-            extra = extra + (modified * u**2 / 2).sum(axis=-1) * dx
+            extra = extra + (modified * u**2 / 2).sum() * dx
         E_ext = E_h + extra
 
-    # mass, momentum, E_h, E_ext, modeled_rate of each state
-    columns = (H.sum(axis=-1) * dx, f.q.sum(axis=-1) * dx, E_h, E_ext, rate)
-    return [EnergyReport(s.t, *row) for s, row in
-            zip(states, zip(*(c.tolist() for c in columns)))]
+    return EnergyReport(f.t, float(H.sum() * dx), float(f.q.sum() * dx),
+                        float(E_h), float(E_ext), float(rate))
 
 
 def attach_measured_rates(reports):

@@ -25,9 +25,9 @@ A run keeps what it does not change in one private :class:`_RunContext`:
 the grid and, as the bed ``Z_b(x) + b(t)`` is separable, its slope and
 curvature, the dispersive friction's bed factor, and the bed part of
 NonHydro1's and PeregrineInviscid's ``A`` for the last ``b``.  It hands out
-one field bundle (:class:`_Fields`) per state, and for the energy reports
-one per block of states, with one row per state.  A bundle's constructor
-sets its fields; the rest it derives once each on first use.  The
+one field bundle (:class:`_Fields`) per state, which the state's energy
+report, time step and stages share.  A bundle's constructor sets its
+fields; the rest it derives once each on first use.  The
 finite-volume core returns its count of clamped face depths, which reaches
 the stage as :attr:`DispersiveSystem.face_clamps`.
 
@@ -76,20 +76,19 @@ def _pad(values, boundary, parity=1.0):
 
     Periodic wraps; wall mirrors about the boundary face (``parity=-1``
     negates, for velocity-like quantities); copy repeats the edge value.
-    A 2-D array is padded along its last axis, one row per state.
     """
     v = np.asarray(values, dtype=float)
-    out = np.empty(v.shape[:-1] + (v.shape[-1] + 2 * NGHOST,))
-    out[..., NGHOST:-NGHOST] = v
+    out = np.empty(v.size + 2 * NGHOST)
+    out[NGHOST:-NGHOST] = v
     if boundary is Boundary.PERIODIC:
-        out[..., :NGHOST] = v[..., -NGHOST:]
-        out[..., -NGHOST:] = v[..., :NGHOST]
+        out[:NGHOST] = v[-NGHOST:]
+        out[-NGHOST:] = v[:NGHOST]
     elif boundary is Boundary.WALL:
-        out[..., :NGHOST] = parity * v[..., NGHOST - 1 :: -1]
-        out[..., -NGHOST:] = parity * v[..., : -NGHOST - 1 : -1]
+        out[:NGHOST] = parity * v[NGHOST - 1 :: -1]
+        out[-NGHOST:] = parity * v[: -NGHOST - 1 : -1]
     else:  # Boundary.COPY
-        out[..., :NGHOST] = v[..., :1]
-        out[..., -NGHOST:] = v[..., -1:]
+        out[:NGHOST] = v[0]
+        out[-NGHOST:] = v[-1]
     return out
 
 
@@ -98,9 +97,9 @@ def _centered_difference(values, dx):
 
     The output has two entries fewer than the input: a padded array
     (``n + 2 * NGHOST`` entries) gives its width-1 ring (cells ``-1 .. n``),
-    and a ring array gives the ``n`` real cells.  Taken along the last axis.
+    and a ring array gives the ``n`` real cells.
     """
-    return (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
+    return (values[2:] - values[:-2]) / (2.0 * dx)
 
 
 def _cell_curvature(padded, dx):
@@ -109,8 +108,8 @@ def _cell_curvature(padded, dx):
 
 
 def _interior(cellwise):
-    """Real-cell slice of a width-1-ring array (along the last axis)."""
-    return cellwise[..., 1:-1]
+    """Real-cell slice of a width-1-ring array."""
+    return cellwise[1:-1]
 
 
 class SolverError(RuntimeError):
@@ -300,8 +299,8 @@ class BandedMatrix:
 
 
 class _Fields:
-    """Fields of one state, or of a block with one row per state, read by
-    the core, assembly, friction and reports.
+    """Fields of one state, read by the core, assembly, friction and the
+    state's energy report.
 
     The constructor sets the wet mask (``H >= DRY_THRESHOLD``), velocity,
     bed and the ``NGHOST``-padded ``Hp``, ``up``, ``zp``, ``etap``, and
@@ -309,8 +308,7 @@ class _Fields:
     context built per call is then freed at once, not by the cyclic
     garbage collector).  The cached properties derive the rest once each;
     ``_ring`` fields are on the width-1 ring.  Nothing else writes into a
-    bundle.  A block bundle (:meth:`_RunContext.block`) holds its times and
-    bed values as columns and has no ``grad_pa``.
+    bundle.
     """
 
     def __init__(self, run, t, H, q, b, bed_rate, bed_accel):
@@ -320,7 +318,7 @@ class _Fields:
         self.zbx_ring, self.zbxx_ring = run.zbx_ring, run.zbxx_ring
         self.bed_factor = run.bed_factor
         self.zp = run.Zp + b
-        self.zb = self.zp[..., NGHOST:-NGHOST]
+        self.zb = self.zp[NGHOST:-NGHOST]
         self.wet = H >= DRY_THRESHOLD
         self.all_wet = bool(self.wet.all())
         self.u = np.zeros_like(H)  # FlowState.velocity, from the same mask
@@ -365,7 +363,7 @@ class _Fields:
         """None without wall-law friction (``k_l = k_t = 0``)."""
         p = self.params
         return (None if p.k_l == 0.0 and p.k_t == 0.0 else friction_kappa(
-            self.up[..., 1:-1], self.zbx_ring, self.Hp[..., 1:-1], p))
+            self.up[1:-1], self.zbx_ring, self.Hp[1:-1], p))
 
     @cached_property
     def kappa_eff(self):
@@ -425,22 +423,11 @@ class _RunContext:
         """The :class:`_Fields` of ``state``, built once per state object."""
         last, f = self._last
         if state is not last:
-            f = _Fields(self, state.t, state.H, state.q, *self._bed(state.t))
+            t, m = state.t, self.bathy.motion
+            f = _Fields(self, t, state.H, state.q, float(m.value(t)),
+                        float(m.rate(t)), float(m.accel(t)))
             self._last = (state, f)
         return f
-
-    def block(self, states):
-        """One bundle of ``states``, not kept: one row per state, ``t`` and
-        the bed values as columns."""
-        t = np.array([s.t for s in states])[:, None]
-        bed = np.array([self._bed(s.t) for s in states]).T[..., None]
-        return _Fields(self, t, np.array([s.H for s in states]),
-                       np.array([s.q for s in states]), *bed)
-
-    def _bed(self, t):
-        """``b``, ``db/dt`` and ``d^2b/dt^2`` at time ``t``."""
-        m = self.bathy.motion
-        return float(m.value(t)), float(m.rate(t)), float(m.accel(t))
 
     def bed_operator(self, f):
         """``(X, Y, off)`` of the bed in ``f``, built once per ``b``:

@@ -7,7 +7,8 @@ depth-averaged acceleration, and applies the pointwise friction as an
 implicit divisor; the two stage results are averaged (Heun), giving
 second-order accuracy in time.  :func:`run_simulation` builds one
 ``models._RunContext``, so what the run does not change is computed once
-and a state's report, time-step choice and step share one field bundle.
+and a state's report, time-step choice and first stage share one field
+bundle: each state is reported as it arrives.
 :class:`BandedMatrix` and :class:`SolverError` live in :mod:`swdisp.models`
 and are importable from here too.
 """
@@ -156,19 +157,15 @@ class RunResult:
 
     ``states`` holds the initial state, any requested snapshots, and the
     final state, ``times`` their times; ``reports`` holds one energy report
-    per step (when collected; computed per block of states once they exist,
-    with the values of a report on each state alone) with measured rates and
-    budget residuals attached; ``stats`` accumulates event counters (steps
-    taken, positivity clamps).
+    per state, the initial one and each step's result (when collected),
+    with measured rates and budget residuals attached; ``stats`` accumulates
+    event counters (steps taken, positivity clamps).
     """
 
     times: list
     states: list
     reports: list
     stats: dict
-
-
-_REPORT_BLOCK_CELLS = 2048  # cells per block of reports in run_simulation
 
 
 def _check_finite(state, step_index):
@@ -201,19 +198,12 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
                          f"{snapshot_interval}")
 
     context = _RunContext(bathy, params, grid)
-    block = max(1, _REPORT_BLOCK_CELLS // grid.n_cells)
-    pending, reports = [], []  # states whose reports are not computed yet
-
-    def flush():
-        reports.extend(energy_reports(pending, bathy, params, grid, tier,
-                                      context=context))
-        pending.clear()
+    reports = []
 
     def report(s):
         if collect_reports:
-            pending.append(s)
-            if len(pending) == block:
-                flush()
+            reports.extend(energy_reports([s], bathy, params, grid, tier,
+                                          context=context))
 
     s = state.copy()
     _check_finite(s, 0)
@@ -251,8 +241,6 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
     if states[-1].t != s.t:
         states.append(s.copy())
 
-    if collect_reports:
-        flush()
-        attach_measured_rates(reports)
+    attach_measured_rates(reports)
     return RunResult(times=[st.t for st in states], states=states,
                      reports=reports, stats=stats)

@@ -474,8 +474,8 @@ def _counting(counts, name, fn):
     return wrapper
 
 
-def _bump_run_setup():
-    grid = Grid(0.0, 10.0, 64, Boundary.PERIODIC)
+def _bump_run_setup(n=64):
+    grid = Grid(0.0, 10.0, n, Boundary.PERIODIC)
     bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
                                          amplitude=0.3, level=-1.0))
     H = lake_at_rest(grid, bathy, eta0=0.01).H
@@ -617,6 +617,27 @@ def test_wet_run_assembles_no_bands_and_friction_once_per_state(tier,
     assert seen == [1, 1, 1]
 
 
+@pytest.mark.parametrize("collect_reports", [True, False])
+@pytest.mark.parametrize("tier", list(ModelTier))
+def test_run_builds_one_field_bundle_per_state(tier, collect_reports,
+                                               monkeypatch):
+    """A state's energy report, time step and first stage share its field
+    bundle, and each step's intermediate state has one of its own: at
+    n = 1024 a run of N fixed-dt steps builds 2 N + 1 bundles with reports
+    and 2 N without."""
+    grid, bathy, state, params = _bump_run_setup(1024)
+    counts = {"fields": 0}
+    monkeypatch.setattr(models._Fields, "__init__", _counting(
+        counts, "fields", models._Fields.__init__))
+    n_steps = 10
+    result = run_simulation(state, bathy, params, grid, tier,
+                            StepControls(t_end=n_steps * 1e-3, fixed_dt=1e-3),
+                            collect_reports=collect_reports)
+    assert result.stats["steps"] == n_steps
+    assert len(result.reports) == (n_steps + 1 if collect_reports else 0)
+    assert counts["fields"] == 2 * n_steps + collect_reports
+
+
 REPORT_FIELDS = ("t", "mass", "momentum", "E_h", "E_ext", "modeled_rate",
                  "dissipation_rate", "budget_residual")
 
@@ -628,13 +649,12 @@ def test_run_matches_hand_loop_of_public_functions(tier, boundary, bed):
     """What a run computes once and shares between calls must not go stale:
     ``run_simulation`` gives the final state and every report of a loop over
     the public ``stable_dt``, ``step`` and energy functions, which derive
-    everything afresh on each call.  The run's reports span several blocks,
-    with a pressure slope and turbulent friction the last block full, and
-    with no atmospheric pressure and laminar friction one report over."""
+    everything afresh on each call: 4 reports with a pressure slope and
+    turbulent friction, 5 with no atmospheric pressure and laminar
+    friction."""
     from swdisp.core import GradientPressure, SampledBed
     from swdisp.diagnostics import (attach_measured_rates, energy_extended,
                                     energy_hydro)
-    from swdisp.solver import _REPORT_BLOCK_CELLS
 
     grid = Grid(0.0, 10.0, 1024, boundary)
     x = grid.cell_centers
@@ -646,12 +666,11 @@ def test_run_matches_hand_loop_of_public_functions(tier, boundary, bed):
     H = lake_at_rest(grid, bathy, eta0=0.05 * np.exp(-0.5 * (x - 3.0)**2)).H
     u = 0.0 if boundary is Boundary.WALL else 0.05 * np.sin(0.2 * np.pi * x)
     s0 = FlowState(t=0.0, H=H, q=H * u)
-    block = _REPORT_BLOCK_CELLS // grid.n_cells
 
     for params, n_reports in (
             (PhysicalParams(nu=1e-3, k_l=1e-2, k_t=0.05,
-                            p_atm=GradientPressure(0.01)), 2 * block),
-            (PhysicalParams(nu=1e-3, k_l=1e-2), 2 * block + 1)):
+                            p_atm=GradientPressure(0.01)), 4),
+            (PhysicalParams(nu=1e-3, k_l=1e-2), 5)):
         # end the run after the steps that give n_reports reports
         s, controls = s0, StepControls(t_end=1.0, cfl=0.45)
         for _ in range(n_reports - 1):
@@ -671,7 +690,7 @@ def test_run_matches_hand_loop_of_public_functions(tier, boundary, bed):
             s = step(s, bathy, params, grid, tier, dt, stats={})
             reports.append(report(s))
         attach_measured_rates(reports)
-        assert len(reports) == n_reports > block
+        assert len(reports) == n_reports
 
         result = run_simulation(s0, bathy, params, grid, tier, controls)
         got = np.array([[getattr(r, k) for k in REPORT_FIELDS]

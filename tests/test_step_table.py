@@ -24,7 +24,9 @@ def test_swapped_trees_run_a_periodic_case_as_the_package_does():
     run of each, with its modules swapped in, ends bit-identical to the run
     of this process's own modules.  A scenario built from one tree's
     classes and run by the other's code would fail the ``is`` checks on
-    ``Boundary`` and silently drop the periodic corners."""
+    ``Boundary`` and silently drop the periodic corners.  Each run spends
+    time in its reports, so the table's report column times the name that
+    ``run_simulation`` calls."""
     step_table = _step_table_module()
     for name in step_table.MODULES:
         importlib.import_module(name)
@@ -35,9 +37,11 @@ def test_swapped_trees_run_a_periodic_case_as_the_package_does():
     assert trees[0]["swdisp.core"] is not trees[1]["swdisp.core"]
     assert all(sys.modules[name] is module for name, module in own.items())
 
-    final = [step_table.run(tree, "NonHydro1", "256")[2]
-             for tree in [own] + trees]
+    runs = [step_table.run(tree, "NonHydro1", "256")
+            for tree in [own] + trees]
     assert all(sys.modules[name] is module for name, module in own.items())
+    assert all(report > 0.0 for _, report, _ in runs)
+    final = [state for _, _, state in runs]
     for state in final[1:]:
         assert state.t == final[0].t
         np.testing.assert_array_equal(state.H, final[0].H)

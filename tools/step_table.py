@@ -25,7 +25,7 @@ by n = 8192 runs would report that process's peak instead of its own.
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json
 
 prints the table (µs, step / report / write) and writes it as JSON, with
-the step time's quartiles, the Python, numpy and scipy versions and the
+the quartiles of step + report, the Python, numpy and scipy versions and the
 commit of the swdisp source that ran; a ``PYTHONPATH`` naming another
 checkout's ``src`` measures that checkout.
 
@@ -39,8 +39,10 @@ imported once (:func:`load_tree`) and put into ``sys.modules`` for each of
 its runs (:func:`installed`), so a run builds its scenario from the classes
 of the code that runs it.  A pair is one run of each tree with the same
 tier and row, back to back, and the tree that goes first alternates; each
-table records in how many pairs its step was the faster one ("wins", ties
-counting for neither).  Set-up launches alternate the same way (see
+table records in how many pairs its step + report was the faster one
+("wins", ties counting for neither): where a tree computes a state's
+fields, in its step or in its report, moves time between the two
+columns.  Set-up launches alternate the same way (see
 :func:`measure_setup`).  The parent's table is written next to ``--out``
 with ``_parent`` before the suffix.
 """
@@ -292,12 +294,14 @@ def main(argv=None):
                 steps, reports, writes = zip(*times[k][tier, label])
                 table[tier][label] = [_us(statistics.median(column))
                                       for column in (steps, reports, writes)]
-                q1, _, q3 = statistics.quantiles(steps, n=4)
+                q1, _, q3 = statistics.quantiles(
+                    [a + b for a, b in zip(steps, reports)], n=4)
                 quartiles[tier][label] = [_us(q1), _us(q3)]
                 if wins is not None:
                     other = times[1 - k][tier, label]
-                    wins[tier][label] = sum(mine[0] < theirs[0] for mine, theirs
-                                            in zip(times[k][tier, label], other))
+                    wins[tier][label] = sum(
+                        mine[0] + mine[1] < theirs[0] + theirs[1]
+                        for mine, theirs in zip(times[k][tier, label], other))
         print(f"{name} ({commit}):")
         _print_table(table, wins)
         for tier, (seconds, rss) in setup.items():
@@ -307,7 +311,7 @@ def main(argv=None):
                 "unit": "us per step / us per report / us per snapshot "
                         "write",
                 "table": table,
-                "step_quartiles_us": quartiles,
+                "step_report_quartiles_us": quartiles,
                 "setup": {t: {"s": round(seconds, 4),
                               "peak_rss_mb": round(rss, 1)}
                           for t, (seconds, rss) in setup.items()},
