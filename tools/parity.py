@@ -33,8 +33,8 @@ x static / sinusoidal bed x two forcings (no atmospheric pressure and
 laminar friction ``k_t = 0``; a pressure slope and ``k_t = 0.05``), with
 n = 64, nu = 1e-3, k_l = 1e-2 and a surface hump of 0.05 at x = 3.  A run
 ends at t = 3.5, after 90 to 230 steps, each step's state with its energy
-report.  A run whose time step collapses is cut
-after ``MAX_STEPS`` steps: its last state is repeated once at t = 3.5.
+report.  A run whose time step collapses is cut after ``MAX_STEPS`` steps:
+its last state is repeated once at t = 3.5.
 
     python tools/parity.py --census a.npz
 
