@@ -15,10 +15,15 @@ Exit codes: 0 success, 1 a quantitative check failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import itertools
 import math
+import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -82,6 +87,34 @@ def _relative_drift(first, last):
     return last - first
 
 
+@contextlib.contextmanager
+def _staged(out_dir):
+    """A new directory inside ``out_dir`` for the run's files, which move
+    into ``out_dir`` when the block ends without an error.  On an error the
+    staging directory goes, with any directories made for ``out_dir``, so
+    ``out_dir`` stays as it was found.  A path that cannot be made a
+    directory is a :class:`ConfigError` for ``--out``."""
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"--out: {out_dir} exists and is not a directory")
+    made = next((p for p in reversed((out_dir, *out_dir.parents))
+                 if not p.exists()), None)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".swdisp-run-", dir=out_dir))
+    except OSError as err:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise ConfigError(f"--out: {err.strerror}: {err.filename}") from None
+    try:
+        yield stage
+    except BaseException:
+        shutil.rmtree(stage if made is None else made, ignore_errors=True)
+        raise
+    for path in sorted(stage.iterdir()):
+        os.replace(path, out_dir / path.name)
+    stage.rmdir()
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg, notes = _apply_overrides(cfg, args)
@@ -94,31 +127,35 @@ def cmd_run(args) -> int:
               "non-conservative form")
 
     state = build_initial_state(cfg)
-    started = time.perf_counter()
-    result = run_simulation(state, cfg.bathymetry, cfg.params, cfg.grid,
-                            cfg.tier, cfg.controls,
-                            snapshot_interval=cfg.output.snapshot_interval)
-    wall = time.perf_counter() - started
+    with (contextlib.nullcontext() if args.out is None
+          else _staged(Path(args.out))) as stage:
+        index = itertools.count()
 
-    reports = result.reports
-    mass_drift = _relative_drift(reports[0].mass, reports[-1].mass)
-    energy_drift = _relative_drift(reports[0].E_h, reports[-1].E_h)
-    stats = result.stats
-
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, snap in enumerate(result.states):
+        def write(snap):
             write_snapshot(snap, cfg.bathymetry, cfg.params, cfg.grid,
-                           cfg.tier, out_dir / f"snapshot_{i:06d}.csv",
+                           cfg.tier, stage / f"snapshot_{next(index):06d}.csv",
                            fields=cfg.output.fields)
-        write_timeseries(reports, out_dir / "timeseries.csv")
-        write_manifest(cfg, out_dir / "manifest.txt", extra={
-            "steps": stats["steps"],
-            "positivity_clamps": stats["positivity_clamps"],
-            "mass_drift": format(mass_drift, ".17g"),
-            "energy_drift": format(energy_drift, ".17g"),
-        })
+
+        started = time.perf_counter()
+        result = run_simulation(state, cfg.bathymetry, cfg.params, cfg.grid,
+                                cfg.tier, cfg.controls,
+                                snapshot_interval=cfg.output.snapshot_interval,
+                                on_snapshot=None if stage is None else write)
+        wall = time.perf_counter() - started
+
+        reports = result.reports
+        mass_drift = _relative_drift(reports[0].mass, reports[-1].mass)
+        energy_drift = _relative_drift(reports[0].E_h, reports[-1].E_h)
+        stats = result.stats
+
+        if stage is not None:
+            write_timeseries(reports, stage / "timeseries.csv")
+            write_manifest(cfg, stage / "manifest.txt", extra={
+                "steps": stats["steps"],
+                "positivity_clamps": stats["positivity_clamps"],
+                "mass_drift": format(mass_drift, ".17g"),
+                "energy_drift": format(energy_drift, ".17g"),
+            })
 
     print(f"run complete: tier={cfg.tier.value} cells={cfg.grid.n_cells} "
           f"steps={stats['steps']} mass_drift={mass_drift:+.3e} "

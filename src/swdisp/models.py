@@ -803,6 +803,7 @@ def _dispersive_terms(f, context, tier, F):
 
     if tier is not ModelTier.NONHYDRO2:  # NonHydro1, PeregrineInviscid
         X, Y, off = context.bed_operator(f)
+        diag = H - X - Y
         if friction:
             flux_k = (kappa_ring / 6.0) * z_ring * (z_ring * s_ring
                                                     + 7.0 * zbx_ring * u_ring)
@@ -827,6 +828,8 @@ def _dispersive_terms(f, context, tier, F):
         sub, X, Y, sup = _operator_parts(z_ring, coeff1, coeff2, slope_c1, H,
                                          zbx, dx, boundary)
         off = BandedMatrix.from_stencils(sub, sup, boundary)
+        diag = H - X - Y
+        del sub, X, Y, sup, coeff1, coeff2, slope_c1  # free before G, B, P
 
         # ---- NonHydro2 forcings: G, B and P --------------------------------
         G, B = _nh2_stationary_extras(f)
@@ -865,7 +868,7 @@ def _dispersive_terms(f, context, tier, F):
             point *= kappa
             P += point
         _add_nh2_forcing(F, f, G, B, P)
-    return off, H - X - Y, F
+    return off, diag, F
 
 
 def _add_nh2_forcing(F, f, G, B, P=0.0):

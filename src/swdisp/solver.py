@@ -156,10 +156,11 @@ class RunResult:
     """Trajectory summary returned by :func:`run_simulation`.
 
     ``states`` holds the initial state, any requested snapshots, and the
-    final state, ``times`` their times; ``reports`` holds one energy report
-    per state, the initial one and each step's result (when collected),
-    with measured rates and budget residuals attached; ``stats`` accumulates
-    event counters (steps taken, positivity clamps).
+    final state, ``times`` their times (both are empty when the run handed
+    these states to an ``on_snapshot`` callable); ``reports`` holds one
+    energy report per state, the initial one and each step's result (when
+    collected), with measured rates and budget residuals attached;
+    ``stats`` accumulates event counters (steps taken, positivity clamps).
     """
 
     times: list
@@ -180,12 +181,16 @@ def _check_finite(state, step_index):
 
 
 def run_simulation(state, bathy, params, grid, tier, controls, *,
-                   sources=None, snapshot_interval=None, collect_reports=True):
+                   sources=None, snapshot_interval=None, collect_reports=True,
+                   on_snapshot=None):
     """Integrate from ``state.t`` to ``controls.t_end``.
 
     ``snapshot_interval=None`` stores only the initial and final states;
     ``0.0`` stores every step; a positive value stores states at each
-    crossing of a multiple of that interval.  The run is deterministic:
+    crossing of a multiple of that interval.  With ``on_snapshot``, a
+    callable, each of these states is passed to it (a copy, in time order)
+    as soon as the run reaches it, instead of being stored: the result's
+    ``states`` and ``times`` are then empty.  The run is deterministic:
     no wall-clock or randomized decisions enter the loop.  A NaN or
     infinite ``H`` or ``q`` in the initial or any later state raises
     :class:`SolverError` with the step, time and first bad cell, and a
@@ -205,10 +210,17 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
             reports.extend(energy_reports([s], bathy, params, grid, tier,
                                           context=context))
 
+    states = []
+
+    def keep(s):
+        """Store or hand over a copy of ``s``; return its time."""
+        (states.append if on_snapshot is None else on_snapshot)(s.copy())
+        return s.t
+
     s = state.copy()
     _check_finite(s, 0)
     stats = {"steps": 0, "positivity_clamps": 0}
-    states = [s.copy()]
+    kept_t = keep(s)
     report(s)
 
     t_end = controls.t_end
@@ -232,14 +244,14 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
             _check_finite(s, stats["steps"])
             report(s)
             if snapshot_interval == 0.0:
-                states.append(s.copy())
+                kept_t = keep(s)
             elif next_mark is not None and s.t >= next_mark - guard:
-                states.append(s.copy())
+                kept_t = keep(s)
                 while next_mark <= s.t + guard:
                     next_mark += snapshot_interval
 
-    if states[-1].t != s.t:
-        states.append(s.copy())
+    if kept_t != s.t:
+        keep(s)
 
     attach_measured_rates(reports)
     return RunResult(times=[st.t for st in states], states=states,

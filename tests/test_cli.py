@@ -251,6 +251,100 @@ def test_run_solver_error_exits_3(tmp_path, capsys, monkeypatch):
         "solver failure: banded solve failed: singular matrix\n")
 
 
+def _tree(root):
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_run_unusable_out_exits_2_before_the_run(tmp_path, capsys,
+                                                 monkeypatch, where):
+    """An ``--out`` that names a file, or a path under one, is refused with
+    one ``config error: --out:`` line before the run starts."""
+    import swdisp.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_simulation was called")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    config = _write(tmp_path, DAM)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken if where == "a-file" else taken / "out"
+    before = _tree(tmp_path)
+    rc = main(["run", "--config", config, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: --out: ") and err.count("\n") == 1
+    assert _tree(tmp_path) == before
+
+
+def _every_step_dam(tmp_path):
+    return _write(tmp_path, DAM.replace("snapshot_interval = 0.05",
+                                        "snapshot_interval = 0.0"))
+
+
+def test_run_writes_each_snapshot_before_the_next_step(tmp_path, capsys,
+                                                       monkeypatch):
+    """With a snapshot per step, step k starts with k snapshot files on
+    disk: each is written as the run reaches its state."""
+    import swdisp.solver as solver
+
+    out = tmp_path / "out"
+    on_disk, step = [], solver.step
+
+    def counted(*args, **kwargs):
+        on_disk.append(len(list(out.rglob("snapshot_*.csv"))))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counted)
+    rc = main(["run", "--config", _every_step_dam(tmp_path),
+               "--out", str(out)])
+    assert rc == 0
+    assert len(on_disk) > 3
+    assert on_disk == list(range(1, len(on_disk) + 1))
+    # each step's state, the initial state, the time series and the manifest
+    assert len(list(out.iterdir())) == len(on_disk) + 3
+
+
+@pytest.mark.parametrize("existing", [False, True],
+                         ids=["absent-out", "existing-out"])
+def test_a_failed_run_leaves_out_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                existing):
+    """A run that stops in step 5, after five snapshots were written, exits
+    3 naming the step, and leaves ``--out`` as it was: an absent one (and
+    its absent parent) is not created, and the files of an existing one
+    keep their bytes, with nothing added."""
+    import swdisp.solver as solver
+    from swdisp.solver import SolverError
+
+    config = _every_step_dam(tmp_path)
+    out = tmp_path / "results" / "run"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "snapshot_000000.csv").write_text("an earlier run\n")
+        (out / "manifest.txt").write_text("build = earlier\n")
+    before = _tree(tmp_path)
+    written, step = [], solver.step
+
+    def failing(*args, **kwargs):
+        written.append(len(list(out.rglob("snapshot_*.csv"))))
+        if len(written) == 5:
+            raise SolverError("banded solve failed: singular matrix")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", failing)
+    rc = main(["run", "--config", config, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert re.fullmatch(r"solver failure: banded solve failed: singular "
+                        r"matrix at step 5, t = \S+\n", err)
+    assert written[-1] == 5 + existing
+    assert _tree(tmp_path) == before
+    assert out.exists() == existing
+
+
 def test_run_negative_snapshot_interval_exits_2(tmp_path, capsys):
     cfg = DAM.replace("snapshot_interval = 0.05", "snapshot_interval = -0.05")
     rc = main(["run", "--config", _write(tmp_path, cfg)])

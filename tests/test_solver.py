@@ -6,6 +6,7 @@ on independently constructed matrices; fixed points and conservation are
 asserted at machine precision; wave speeds against hand-derived values.
 """
 
+import functools
 import importlib.machinery
 import warnings
 
@@ -465,6 +466,32 @@ def test_zero_snapshot_interval_stores_every_step():
     assert result.times == [s.t for s in result.states]
     assert np.all(np.diff(result.times) > 0.0)
     assert result.times[-1] == 0.05
+
+
+@pytest.mark.parametrize("interval, controls", [
+    (None, StepControls(t_end=0.05, cfl=0.45)),
+    (0.0, StepControls(t_end=0.05, cfl=0.45)),
+    (0.02, StepControls(t_end=0.05, cfl=0.45)),
+    # 8 exact steps of 1/64: the last one ends on the mark 0.125
+    (0.0625, StepControls(t_end=0.125, fixed_dt=0.015625)),
+], ids=["none", "every-step", "interval", "last-step-on-a-mark"])
+def test_on_snapshot_gets_the_states_a_run_would_store(interval, controls):
+    """``on_snapshot`` receives, in order and bit for bit, the states that a
+    run without it returns in ``states``; the run then keeps none of them."""
+    grid, bathy, state, params = _bump_run_setup()
+    run = functools.partial(run_simulation, state, bathy, params, grid,
+                            ModelTier.NONHYDRO1, controls,
+                            snapshot_interval=interval)
+    stored = run().states
+    handed = []
+    result = run(on_snapshot=handed.append)
+    assert result.states == [] and result.times == []
+    assert len(handed) == len(stored) >= 2
+    for got, want in zip(handed, stored):
+        assert got.t == want.t
+        assert np.array_equal(got.H, want.H) and np.array_equal(got.q, want.q)
+    if interval == 0.0625:
+        assert [s.t for s in handed] == [0.0, 0.0625, 0.125]
 
 
 def _counting(counts, name, fn):
