@@ -115,6 +115,10 @@ def _staged(out_dir):
     stage.rmdir()
 
 
+def _drop(state):
+    """The ``on_snapshot`` of a run without ``--out``: it keeps nothing."""
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     cfg, notes = _apply_overrides(cfg, args)
@@ -140,7 +144,7 @@ def cmd_run(args) -> int:
         result = run_simulation(state, cfg.bathymetry, cfg.params, cfg.grid,
                                 cfg.tier, cfg.controls,
                                 snapshot_interval=cfg.output.snapshot_interval,
-                                on_snapshot=None if stage is None else write)
+                                on_snapshot=_drop if stage is None else write)
         wall = time.perf_counter() - started
 
         reports = result.reports

@@ -46,11 +46,13 @@ conservation form ``d(H)/dt``, ``d(q)/dt`` with ``q = H u_bar``.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .closures import effective_friction, friction_kappa
 from .core import DRY_THRESHOLD, Boundary, ModelTier, ZeroPressure
@@ -116,23 +118,44 @@ class SolverError(RuntimeError):
     """A linear solve failed or was inaccurate, or a run went non-finite."""
 
 
+# names of LAPACK's dgtsv with 8-byte integers in numpy's LAPACK: that of
+# the scipy-openblas64 build numpy's wheels ship, then the plain ILP64 one
+_NUMPY_DGTSV = ("scipy_dgtsv_64_", "dgtsv_64_")
+
+
 @cache
 def _load_dgtsv():
-    """LAPACK's ``dgtsv``, from scipy's ``_flapack`` extension module alone.
+    """LAPACK's ``dgtsv`` as ``dgtsv(bands, rhs) -> info``, which solves in
+    place: ``bands`` is an owned C-contiguous ``(3, n)`` copy in
+    :class:`BandedMatrix` storage, ``rhs`` an owned C-contiguous array of
+    ``n`` or ``(k, n)`` values (one right-hand side per row) that the
+    solution overwrites, and ``info > 0`` flags a singular matrix.
 
     Loaded at the first tridiagonal solve, or when
     :func:`swdisp.io.validate_config` accepts a dispersive tier, so the
-    hydrostatic tier runs without LAPACK.  The extension is found on
-    ``scipy.__path__`` and loaded in 3-10 ms without running
-    ``scipy/linalg/__init__``, whose imports (numpy.f2py, numpy.testing,
-    numpy.random and numpy.ma) took 0.2-0.3 s and 23 MB of a dispersive
-    run's set-up: the nh1-periodic-256 benchmark's set-up fell from 0.49 to
-    0.24 s and its peak RSS from 59.0 to 36.4 MB (medians of 10 alternated
-    runs on a 2-core x86_64 host).  CPython keeps one copy of a
-    single-phase extension module, so this is the very object
-    :mod:`scipy.linalg.lapack` exports.  Where no ``_flapack`` is found
-    under ``scipy/linalg``, that package import is the way in.
+    hydrostatic tier runs without LAPACK.  It is the routine of the LAPACK
+    that ``import numpy`` has already loaded, found by ctypes through
+    ``numpy.linalg._umath_linalg`` under a name of ``_NUMPY_DGTSV``, and a
+    dispersive run then imports no scipy module.  Against loading scipy's
+    ``_flapack``, which maps a second OpenBLAS, that took the load from 3.1
+    to 0.2 ms and peak RSS down by 2.4 MB (medians of 10 alternated fresh
+    interpreters on a 2-core x86_64 host).  Where neither name resolves
+    (Windows, or a numpy linked to a 4-byte-integer LAPACK), scipy's
+    ``dgtsv`` is loaded from its ``_flapack`` extension module alone, found
+    on ``scipy.__path__`` without running ``scipy/linalg/__init__`` (whose
+    imports took 0.2-0.3 s and 23 MB of a dispersive run's set-up), or
+    from :mod:`scipy.linalg.lapack` where no ``_flapack`` is found under
+    ``scipy/linalg``.
     """
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in _NUMPY_DGTSV:
+        if hasattr(lib, name):
+            routine = getattr(lib, name)
+            int64 = ctypes.POINTER(ctypes.c_int64)
+            routine.argtypes = [int64, int64, *[ctypes.c_void_p] * 4, int64,
+                                int64]
+            routine.restype = None
+            return partial(_dgtsv_ilp64, routine)
     import importlib.machinery
     import importlib.util
     import os
@@ -144,10 +167,27 @@ def _load_dgtsv():
         [os.path.join(path, "linalg") for path in scipy.__path__])
     if spec is None:
         from scipy.linalg.lapack import dgtsv
-        return dgtsv
+        return partial(_dgtsv_f2py, dgtsv)
     flapack = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(flapack)
-    return flapack.dgtsv
+    return partial(_dgtsv_f2py, flapack.dgtsv)
+
+
+def _dgtsv_ilp64(routine, bands, rhs):
+    """``dgtsv`` through the ctypes function ``routine``: ``n``, ``nrhs``,
+    ``ldb`` and ``info`` are 8-byte integers passed by reference."""
+    n, info = ctypes.c_int64(bands.shape[1]), ctypes.c_int64()
+    at = ctypes.addressof(ctypes.c_char.from_buffer(bands))
+    step = 8 * n.value  # bytes per band row
+    routine(n, ctypes.c_int64(rhs.size // n.value), at + 2 * step, at + step,
+            at + 8, ctypes.addressof(ctypes.c_char.from_buffer(rhs)), n, info)
+    return info.value
+
+
+def _dgtsv_f2py(routine, bands, rhs):
+    """``dgtsv`` through scipy's wrapper ``routine``, told to overwrite."""
+    return routine(bands[2, :-1], bands[1], bands[0, 1:], rhs.T,
+                   True, True, True, True)[-1]
 
 
 @dataclass
@@ -264,30 +304,27 @@ class BandedMatrix:
                 raise SolverError("banded solve failed: singular matrix")
             x = b / diag
         else:
-            bands, rhs, owned = self.bands, b, False
+            # LAPACK overwrites these copies, x with the solution
+            bands = self.bands.copy()
             if self.corners:
                 upper, lower = self.corners
                 gamma = -diag[0]
                 ratio = upper / gamma
-                bands = bands.copy()
                 bands[1, 0] -= gamma
                 bands[1, -1] -= lower * ratio
-                rhs = np.zeros((self.n, 2), order="F")
-                rhs[:, 0] = b
-                rhs[0, 1] = gamma
-                rhs[-1, 1] += lower
-                owned = True
-            if not (np.isfinite(bands).all() and np.isfinite(rhs).all()):
+                x = np.zeros((2, self.n))  # b and u, one per row
+                x[0] = b
+                x[1, 0] = gamma
+                x[1, -1] += lower
+            else:
+                x = b.copy()
+            if not (np.isfinite(bands).all() and np.isfinite(x).all()):
                 raise SolverError("banded solve failed: array must not "
                                   "contain infs or NaNs" + self._where(b))
-            # LAPACK may overwrite only the copies made above
-            dgtsv = _load_dgtsv()
-            *_, x, info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs,
-                                owned, owned, owned, owned)
-            if info > 0:
+            if _load_dgtsv()(bands, x) > 0:
                 raise SolverError("banded solve failed: singular matrix")
             if self.corners:
-                y, z = x[:, 0], x[:, 1]
+                y, z = x
                 denom = 1.0 + z[0] + ratio * z[-1]
                 scale = 1.0 + abs(z[0]) + abs(ratio * z[-1])
                 if abs(denom) <= 8 * math.ulp(1.0) * scale:

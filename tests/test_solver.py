@@ -91,15 +91,43 @@ def test_banded_solve_matches_dense(boundary):
 
 
 def test_dgtsv_fallback_is_the_routine_of_scipy_linalg_lapack(monkeypatch):
-    """Where scipy's ``_flapack`` is not found under ``scipy/linalg``,
-    ``_load_dgtsv`` takes ``dgtsv`` from :mod:`scipy.linalg.lapack`, and
-    Periodic, Wall and Copy solves equal those of the direct load."""
+    """Where numpy's own 8-byte-integer ``dgtsv`` does not resolve,
+    ``_load_dgtsv`` takes scipy's from its ``_flapack`` extension alone,
+    and where that is not found under ``scipy/linalg`` either, from
+    :mod:`scipy.linalg.lapack`.  On numpy's routine and on scipy's,
+    Periodic, Wall and Copy systems with one and two right-hand sides give
+    the same bits, and singular systems raise :class:`SolverError`."""
     import scipy.linalg.lapack
     rng = np.random.default_rng(1)
+    boundaries = (Boundary.PERIODIC, Boundary.WALL, Boundary.COPY)
     systems = [(banded_from_stencils(random_stencils(50, rng), boundary),
-                rng.standard_normal(50))
-               for boundary in (Boundary.PERIODIC, Boundary.WALL,
-                                Boundary.COPY)]
+                rng.standard_normal(50)) for boundary in boundaries]
+    pairs = rng.standard_normal((2, 50))
+    singular = [banded_from_stencils({-1: -np.ones(16), 0: np.full(16, 2.0),
+                                      1: -np.ones(16)}, Boundary.PERIODIC)]
+    for boundary in boundaries:  # row 7 all zero
+        stencils = random_stencils(16, rng)
+        for coeffs in stencils.values():
+            coeffs[7] = 0.0
+        singular.append(banded_from_stencils(stencils, boundary))
+
+    def solved():
+        """Loads ``dgtsv`` afresh; its solutions of ``systems`` through
+        :meth:`BandedMatrix.solve` (two right-hand sides on the Periodic
+        one, where the corners add a second) and through the routine with
+        one and two right-hand sides."""
+        models._load_dgtsv.cache_clear()
+        dgtsv = models._load_dgtsv()
+        found = [A.solve(b) for A, b in systems]
+        for A, b in systems:
+            for rhs in (b.copy(), pairs.copy()):
+                assert dgtsv(A.bands.copy(), rhs) == 0
+                found.append(rhs)
+        for A in singular:
+            with pytest.raises(SolverError, match="singular matrix$"):
+                A.solve(np.ones(A.n))
+        return dgtsv, found
+
     find_spec, asked = importlib.machinery.PathFinder.find_spec, []
 
     def no_flapack(cls, name, path=None, target=None):
@@ -108,16 +136,23 @@ def test_dgtsv_fallback_is_the_routine_of_scipy_linalg_lapack(monkeypatch):
             return None
         return find_spec(name, path, target)
 
-    models._load_dgtsv.cache_clear()
     try:
-        direct = [A.solve(b) for A, b in systems]
+        native, on_numpy = solved()
+        monkeypatch.setattr(models, "_NUMPY_DGTSV", ("no_such_dgtsv_64_",))
+        flapack, on_flapack = solved()
+        assert flapack.func is models._dgtsv_f2py
+        assert flapack.args == (scipy.linalg.lapack.dgtsv,)
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                             classmethod(no_flapack))
-        models._load_dgtsv.cache_clear()
-        assert models._load_dgtsv() is scipy.linalg.lapack.dgtsv
+        package, on_package = solved()
+        assert package.args == (scipy.linalg.lapack.dgtsv,)
         assert "scipy.linalg._flapack" in asked
-        for (A, b), x in zip(systems, direct):
-            assert np.array_equal(A.solve(b), x)
+        for x, y in zip(on_flapack, on_package, strict=True):
+            assert np.array_equal(x, y)
+        if native.func is not models._dgtsv_ilp64:
+            pytest.skip("numpy's LAPACK exports no 8-byte-integer dgtsv")
+        for x, y in zip(on_numpy, on_flapack, strict=True):
+            assert np.array_equal(x, y)
     finally:
         models._load_dgtsv.cache_clear()
 
