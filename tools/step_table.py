@@ -18,9 +18,11 @@ A tier's set-up is what a run pays before its first step: the wall time,
 in a fresh interpreter, to import ``swdisp.cli`` and ``load_config`` the
 tier's benchmark-geometry config (n = 256, written by ``write_config``),
 and that interpreter's peak RSS, each the median of ``REPEATS`` launches.
-The launches come before any timed run: Linux carries a process's peak RSS
-over ``exec`` into the program it starts, so a launch from a process grown
-by n = 8192 runs would report that process's peak instead of its own.
+Linux carries a process's peak RSS over ``exec`` into the program it
+starts, so a launch straight from this process, which holds numpy and
+scipy, would report this process's peak (34 MB) instead of its own; each
+launch therefore starts from a launcher that imports only ``os`` and
+``sys`` and reads the child's peak from ``os.wait4``.
 
     PYTHONPATH=src python tools/step_table.py --out BENCH_step_table.json
 
@@ -75,12 +77,21 @@ MODULES = ("swdisp.cli", "swdisp.core", "swdisp.diagnostics", "swdisp.io",
            "swdisp.models", "swdisp.solver")
 
 # a child process prints the seconds it takes to import swdisp.cli and load
-# the config sys.argv[1], and its peak RSS in MB
-_SETUP_CHILD = ("import resource, sys, time; start = time.perf_counter(); "
+# the config sys.argv[1]; its launcher, given the child's code and config,
+# then prints the child's peak RSS in MB
+_SETUP_CHILD = ("import sys, time; start = time.perf_counter(); "
                 "import swdisp.cli, swdisp.io; "
                 "swdisp.io.load_config(sys.argv[1]); "
-                "print(time.perf_counter() - start, resource.getrusage("
-                "resource.RUSAGE_SELF).ru_maxrss / 1024)")
+                "print(time.perf_counter() - start, flush=True)")
+_SETUP_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-c", *sys.argv[1:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+if os.waitstatus_to_exitcode(status):
+    sys.exit(f"set-up child exited with {os.waitstatus_to_exitcode(status)}")
+print(usage.ru_maxrss / 1024)
+"""
 
 
 def _swap(modules):
@@ -211,7 +222,8 @@ def _setup_launch(src, config):
     env = dict(os.environ)
     if src is not None:
         env["PYTHONPATH"] = str(src)
-    proc = subprocess.run([sys.executable, "-c", _SETUP_CHILD, str(config)],
+    proc = subprocess.run([sys.executable, "-c", _SETUP_LAUNCHER,
+                           _SETUP_CHILD, str(config)],
                           env=env, stdout=subprocess.PIPE, text=True,
                           check=True)
     return tuple(float(v) for v in proc.stdout.split())
