@@ -125,27 +125,24 @@ _NUMPY_DGTSV = ("scipy_dgtsv_64_", "dgtsv_64_")
 
 @cache
 def _load_dgtsv():
-    """LAPACK's ``dgtsv`` as ``dgtsv(bands, rhs) -> info``, which solves in
-    place: ``bands`` is an owned C-contiguous ``(3, n)`` copy in
-    :class:`BandedMatrix` storage, ``rhs`` an owned C-contiguous array of
-    ``n`` or ``(k, n)`` values (one right-hand side per row) that the
-    solution overwrites, and ``info > 0`` flags a singular matrix.
+    """LAPACK's ``dgtsv`` as ``dgtsv(bands, rhs) -> info``, ``info > 0``
+    for a singular matrix.  It overwrites both arrays, which must be owned
+    and C-contiguous: ``bands`` in :class:`BandedMatrix` storage and
+    ``rhs``, ``n`` or ``(k, n)`` values (a right-hand side per row), by the
+    solution.
 
     Loaded at the first tridiagonal solve, or when
     :func:`swdisp.io.validate_config` accepts a dispersive tier, so the
-    hydrostatic tier runs without LAPACK.  It is the routine of the LAPACK
-    that ``import numpy`` has already loaded, found by ctypes through
-    ``numpy.linalg._umath_linalg`` under a name of ``_NUMPY_DGTSV``, and a
-    dispersive run then imports no scipy module.  Against loading scipy's
-    ``_flapack``, which maps a second OpenBLAS, that took the load from 3.1
-    to 0.2 ms and peak RSS down by 2.4 MB (medians of 10 alternated fresh
-    interpreters on a 2-core x86_64 host).  Where neither name resolves
-    (Windows, or a numpy linked to a 4-byte-integer LAPACK), scipy's
-    ``dgtsv`` is loaded from its ``_flapack`` extension module alone, found
-    on ``scipy.__path__`` without running ``scipy/linalg/__init__`` (whose
-    imports took 0.2-0.3 s and 23 MB of a dispersive run's set-up), or
-    from :mod:`scipy.linalg.lapack` where no ``_flapack`` is found under
-    ``scipy/linalg``.
+    hydrostatic tier runs without LAPACK.  ctypes finds the routine, under
+    a name of ``_NUMPY_DGTSV``, in the LAPACK that ``import numpy`` has
+    already loaded, so a dispersive run imports no scipy module.  Against
+    scipy's ``_flapack``, which maps a second OpenBLAS, the load fell from
+    3.1 to 0.2 ms and peak RSS by 2.4 MB (medians of 10 alternated fresh
+    interpreters on a 2-core x86_64 host).  Where no such name resolves
+    (Windows, or a numpy on a 4-byte-integer LAPACK), scipy's ``dgtsv``
+    comes from its ``_flapack`` extension module alone, found on
+    ``scipy.__path__`` without running ``scipy/linalg/__init__`` (0.2-0.3 s
+    and 23 MB of imports), else from :mod:`scipy.linalg.lapack`.
     """
     lib = ctypes.CDLL(_umath_linalg.__file__)
     for name in _NUMPY_DGTSV:
@@ -167,10 +164,11 @@ def _load_dgtsv():
         [os.path.join(path, "linalg") for path in scipy.__path__])
     if spec is None:
         from scipy.linalg.lapack import dgtsv
-        return partial(_dgtsv_f2py, dgtsv)
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return partial(_dgtsv_f2py, flapack.dgtsv)
+    else:
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+        dgtsv = flapack.dgtsv
+    return partial(_dgtsv_f2py, dgtsv)
 
 
 def _dgtsv_ilp64(routine, bands, rhs):

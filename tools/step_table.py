@@ -82,7 +82,7 @@ MODULES = ("swdisp.cli", "swdisp.core", "swdisp.diagnostics", "swdisp.io",
 _SETUP_CHILD = ("import sys, time; start = time.perf_counter(); "
                 "import swdisp.cli, swdisp.io; "
                 "swdisp.io.load_config(sys.argv[1]); "
-                "print(time.perf_counter() - start, flush=True)")
+                "print(time.perf_counter() - start)")
 _SETUP_LAUNCHER = """\
 import os, sys
 pid = os.posix_spawn(sys.executable, [sys.executable, "-c", *sys.argv[1:]],
