@@ -31,8 +31,7 @@ from .core import (BathymetryField, Boundary, FlatBed, FlowState,
                    StaticBed, ZeroPressure, classify_regime)
 from .csvtext import csv_body
 from .models import (DRY_THRESHOLD, ModelTier, _centered_difference,
-                     _interior, _load_dgtsv, _pad, _RunContext,
-                     assemble_dispersive)
+                     _interior, _pad, _RunContext, assemble_dispersive)
 from .solver import StepControls
 
 __all__ = [
@@ -361,44 +360,37 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("physics.nu: friction closure requires nu > 0 "
                           "when k_l or k_t is set")
 
-    x = cfg.grid.cell_centers
-    zb = cfg.bathymetry.elevation(x, 0.0)
     init = cfg.initial
-    if isinstance(init, DamBreak):
-        for side, level, mask in (("eta_left", init.eta_left, x < init.x0),
-                                  ("eta_right", init.eta_right, x >= init.x0)):
-            if np.any(mask):
-                depth = level - float(np.max(zb[mask]))
-                if depth < 0.0:
-                    raise ConfigError(
-                        f"initial.{side}: level {level} leaves negative "
-                        f"depth {depth:.6g} over the bed")
-    elif isinstance(init, (MonochromaticWave, GaussianHump)):
-        eta = _initial_eta(init, cfg.grid)
-        depth = float(np.min(eta - zb))
-        if depth < 0.0:
-            raise ConfigError(
-                f"initial.amplitude: profile leaves negative depth "
-                f"{depth:.6g} over the bed")
-        if isinstance(init, MonochromaticWave) and np.any(zb >= 0.0):
-            raise ConfigError("initial.k: a monochromatic wave needs positive "
-                              "still depth (bed below the zero level) everywhere")
-    elif isinstance(init, Manufactured):
+    if isinstance(init, Manufactured):
         from .manufactured import get_case
         try:
             get_case(init.case)
         except ValueError as err:
             raise ConfigError(f"initial.case: {err}") from None
-    if not (isinstance(init, Manufactured)
-            or np.any(_initial_eta(init, cfg.grid) - zb >= DRY_THRESHOLD)):
+        return
+    x = cfg.grid.cell_centers
+    zb = cfg.bathymetry.elevation(x, 0.0)
+    depth = _initial_eta(init, cfg.grid) - zb
+    if isinstance(init, DamBreak):
+        for side, level, mask in (("eta_left", init.eta_left, x < init.x0),
+                                  ("eta_right", init.eta_right, x >= init.x0)):
+            if np.any(mask) and (least := float(np.min(depth[mask]))) < 0.0:
+                raise ConfigError(
+                    f"initial.{side}: level {level} leaves negative "
+                    f"depth {least:.6g} over the bed")
+    elif isinstance(init, (MonochromaticWave, GaussianHump)):
+        if (least := float(np.min(depth))) < 0.0:
+            raise ConfigError(
+                f"initial.amplitude: profile leaves negative depth "
+                f"{least:.6g} over the bed")
+        if isinstance(init, MonochromaticWave) and np.any(zb >= 0.0):
+            raise ConfigError("initial.k: a monochromatic wave needs positive "
+                              "still depth (bed below the zero level) everywhere")
+    if not np.any(depth >= DRY_THRESHOLD):
         key = {LakeAtRest: "eta0", DamBreak: "eta_left"}.get(type(init),
                                                            "amplitude")
         raise ConfigError(f"initial.{key}: no cell is wet at t = 0 (every "
                           f"depth is below {DRY_THRESHOLD:g})")
-    # a dispersive scenario loads LAPACK's dgtsv in set-up, so no step pays
-    # for it (see _load_dgtsv)
-    if cfg.tier is not ModelTier.HYDROSTATIC:
-        _load_dgtsv()
 
 
 def _initial_eta(init, grid):

@@ -131,11 +131,10 @@ def _load_dgtsv():
     ``rhs``, ``n`` or ``(k, n)`` values (a right-hand side per row), by the
     solution.
 
-    Loaded at the first tridiagonal solve, or when
-    :func:`swdisp.io.validate_config` accepts a dispersive tier, so the
-    hydrostatic tier runs without LAPACK.  ctypes finds the routine, under
-    a name of ``_NUMPY_DGTSV``, in the LAPACK that ``import numpy`` has
-    already loaded, so a dispersive run imports no scipy module.  Against
+    Loaded at the first tridiagonal solve, so the hydrostatic tier runs
+    without LAPACK.  ctypes finds the routine, under a name of
+    ``_NUMPY_DGTSV``, in the LAPACK that ``import numpy`` has already
+    loaded, so a dispersive run imports no scipy module.  Against
     scipy's ``_flapack``, which maps a second OpenBLAS, the load fell from
     3.1 to 0.2 ms and peak RSS by 2.4 MB (medians of 10 alternated fresh
     interpreters on a 2-core x86_64 host).  Where no such name resolves

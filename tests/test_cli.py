@@ -108,6 +108,12 @@ def _summary_value(out, key):
     return match.group(1)
 
 
+def broken(reason):
+    """Mark a case that a known defect breaks: it must fail its check."""
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=reason)
+
+
 # ---------------------------------------------------------------------------
 # help and argument errors
 
@@ -381,6 +387,11 @@ _FLAT_MONOCHROMATIC = LAKE.replace(
     "kind = lake_at_rest\neta0 = 0.0",
     "kind = monochromatic_wave\namplitude = 0.0\nk = 0.6283185307179586")
 
+_DAM_OVER_BUMP = DAM.replace(
+    "profile = flat\nlevel = -1.0",
+    "profile = gaussian_bump\nlevel = -1.0\ncenter = {center}\n"
+    "width = 0.7\namplitude = 0.45")
+
 
 @pytest.mark.parametrize("text, message", [
     (LAKE + "\n[grid]\nn_cells = 32\n",
@@ -401,14 +412,105 @@ _FLAT_MONOCHROMATIC = LAKE.replace(
     (DAM.replace("eta_left = 0.2", "eta_left = -1.0").replace(
         "eta_right = 0.0", "eta_right = -1.0"),
      "initial.eta_left: no cell is wet at t = 0 (every depth is below 1e-08)"),
+    (_DAM_OVER_BUMP.format(center=3.0).replace("eta_left = 0.2",
+                                               "eta_left = -0.6"),
+     "initial.eta_left: level -0.6 leaves negative depth -0.0489922 over "
+     "the bed"),
+    (_DAM_OVER_BUMP.format(center=7.0).replace("eta_right = 0.0",
+                                               "eta_right = -0.6"),
+     "initial.eta_right: level -0.6 leaves negative depth -0.0489922 over "
+     "the bed"),
 ], ids=["duplicate-section", "negative-depth", "dry-monochromatic",
-        "bump-width", "pulse-sigma", "fixed-dt", "dry-dam-break"])
+        "bump-width", "pulse-sigma", "fixed-dt", "dry-dam-break",
+        "dam-break-left-over-bed", "dam-break-right-over-bed"])
 def test_run_rejected_config_exits_2(tmp_path, capsys, text, message):
     """A config that parses but breaks a model constraint stops before the
     run with exit 2 and one line naming where it breaks."""
     rc = main(["run", "--config", _write(tmp_path, text)])
     assert rc == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+_DRY_DAM = """\
+[grid]
+x_min = 0.0
+x_max = 10.0
+n_cells = 200
+boundary = Wall
+
+[physics]
+nu = 0.001
+
+[bathymetry]
+profile = flat
+level = -0.5
+
+[initial]
+kind = dam_break
+eta_left = 0.5
+eta_right = -0.5
+x0 = 5.0
+
+[stepping]
+tier = {tier}
+t_end = 1.0
+cfl = 0.45
+"""
+
+
+@broken("ROADMAP item 1: the stage clamps H < 0 to zero and advances u by "
+        "acceleration, so a dam break onto a dry bed creates mass")
+@pytest.mark.parametrize("tier", ["Hydrostatic", "NonHydro1", "NonHydro2",
+                                  "PeregrineInviscid"])
+def test_dry_dam_break_keeps_mass(tmp_path, capsys, tier):
+    """A dam break onto a dry bed between walls keeps its mass to 1e-12."""
+    out_dir = tmp_path / "out"
+    config = _write(tmp_path, _DRY_DAM.format(tier=tier))
+    rc = main(["run", "--config", config, "--out", str(out_dir)])
+    assert rc == 0
+    manifest = (out_dir / "manifest.txt").read_text()
+    drift = re.search(r"^mass_drift = (\S+)$", manifest, re.M).group(1)
+    assert abs(float(drift)) <= 1e-12
+
+
+_FUZZ_SEED_192 = """\
+[grid]
+x_min = 0.0
+x_max = 10.0
+n_cells = 48
+boundary = Copy
+
+[physics]
+nu = 0.001
+k_t = 0.05
+
+[bathymetry]
+profile = gaussian_bump
+level = -1.0
+center = 2.672
+width = 1.384
+amplitude = -0.272
+
+[initial]
+kind = dam_break
+eta_left = -0.237
+eta_right = -0.772
+x0 = 5.454
+
+[stepping]
+tier = NonHydro2
+t_end = 1.0
+cfl = 0.45
+"""
+
+
+@broken("ROADMAP item 13: stable_dt bounds only |u| + sqrt(g H), not the "
+        "speed of NonHydro2's modified-height flux")
+def test_nonhydro2_fully_wet_dam_break_finishes(tmp_path, capsys):
+    """The fully wet NonHydro2 dam break over a trough that the config fuzz
+    found (seed 192) runs to t_end at cfl 0.45."""
+    rc = main(["run", "--config", _write(tmp_path, _FUZZ_SEED_192)])
+    assert rc == 0
 
 
 _SCIPY_PROBE = """\
@@ -428,6 +530,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     del sys.modules["scipy.linalg"]
 load_config(nh1)
 from swdisp import models
+seen["loaded_cached"] = models._load_dgtsv.cache_info().currsize
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["nh1_rc"] = swdisp.cli.main(["run", "--config", nh1])
 seen["nh1_cached"] = models._load_dgtsv.cache_info().currsize
 seen["nh1_modules"] = [m in sys.modules for m in ("scipy.linalg", "numpy.f2py")]
 seen["nh1_scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -440,10 +545,11 @@ print(json.dumps(seen))
 
 def test_hydrostatic_run_never_loads_scipy_linalg(tmp_path):
     """A Hydrostatic ``run --out`` neither imports scipy's LAPACK nor needs
-    it, while loading a dispersive config loads ``dgtsv`` in set-up without
-    importing scipy.linalg or numpy.f2py, and, wherever numpy's own LAPACK
-    exports the routine, without importing any scipy module.  The probe
-    runs in a fresh interpreter, as this one holds scipy already."""
+    it, and loading a dispersive config loads no LAPACK.  Its run loads
+    ``dgtsv`` at the first solve without importing scipy.linalg or
+    numpy.f2py, and, wherever numpy's own LAPACK exports the routine,
+    without importing any scipy module.  The probe runs in a fresh
+    interpreter, as this one holds scipy already."""
     nh1 = LAKE.replace("tier = Hydrostatic", "tier = NonHydro1")
     args = [_write(tmp_path, LAKE), _write(tmp_path, nh1, "nh1.cfg"),
             str(tmp_path)]
@@ -456,7 +562,8 @@ def test_hydrostatic_run_never_loads_scipy_linalg(tmp_path):
     assert seen["import"] is False
     assert (seen["run_rc"], seen["run"]) == (0, False)
     assert seen["blocked_rc"] == 0
-    assert seen["nh1_cached"] == 1
+    assert seen["loaded_cached"] == 0
+    assert (seen["nh1_rc"], seen["nh1_cached"]) == (0, 1)
     assert seen["nh1_modules"] == [False, False]
     if seen["numpy_dgtsv"]:
         assert seen["nh1_scipy"] == []
