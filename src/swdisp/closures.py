@@ -16,9 +16,7 @@ from .core import ModelTier, PhysicalParams
 __all__ = [
     "friction_kappa",
     "effective_friction",
-    "bottom_velocity",
     "velocity_profile",
-    "mean_square_velocity_factor",
     "vertical_velocity",
     "depth_integrated_w_squared",
     "pressure_hydrostatic",
@@ -63,14 +61,6 @@ def effective_friction(kappa, H, nu):
     return np.asarray(kappa / (1.0 + kappa * H / (3.0 * nu)))
 
 
-def bottom_velocity(u_bar, H, kappa, nu):
-    """Horizontal velocity at the bed, ``u_bar / (1 + kappa H / (3 nu))``."""
-    if nu <= 0:
-        raise ValueError("bottom velocity estimate requires nu > 0")
-    return np.asarray(u_bar, dtype=float) / (1.0 + np.asarray(kappa, dtype=float)
-                                             * np.asarray(H, dtype=float) / (3.0 * nu))
-
-
 def velocity_profile(u_bar, H, kappa, nu, z_rel):
     """Parabolic horizontal velocity at height ``z_rel`` above the bed.
 
@@ -88,19 +78,6 @@ def velocity_profile(u_bar, H, kappa, nu, z_rel):
     H_safe = np.where(wet, H, 1.0)
     correction = (kappa / nu) * (z - z * z / (2.0 * H_safe) - H_safe / 3.0)
     return u_bar * (1.0 + np.where(wet, correction, 0.0))
-
-
-def mean_square_velocity_factor(kappa, H, nu):
-    """Momentum-flux enhancement factor ``1 + 2 (kappa H / nu)^2 / 15``.
-
-    Multiplying the water height by this factor accounts for the depth
-    average of the squared parabolic deviation from the bed velocity in the
-    momentum flux of the fully nonlinear dispersive tier.
-    """
-    if nu <= 0:
-        raise ValueError("mean-square velocity factor requires nu > 0")
-    a = np.asarray(kappa, dtype=float) * np.asarray(H, dtype=float) / nu
-    return 1.0 + 2.0 * a**2 / 15.0
 
 
 def vertical_velocity(u_bar, du_dx, z_b, dzb_dx, dzb_dt, z):

@@ -39,7 +39,6 @@ __all__ = [
     "ScalingRegime",
     "RegimeClass",
     "classify_regime",
-    "free_surface",
 ]
 
 #: Cells with H below this height [m] are treated as dry: their velocity is
@@ -399,9 +398,6 @@ class ScalingRegime:
     depth: float
     wavelength: float
     amplitude: float
-    gravity: float = 9.81
-    viscosity: float = 0.0
-    laminar_friction: float = 0.0
 
     @property
     def epsilon(self) -> float:
@@ -414,18 +410,6 @@ class ScalingRegime:
     @property
     def ursell(self) -> float:
         return self.delta / self.epsilon**2
-
-    @property
-    def c_ref(self) -> float:
-        return float(np.sqrt(self.gravity * self.depth))
-
-    @property
-    def nu0(self) -> float:
-        return self.viscosity / (self.epsilon * self.wavelength * self.c_ref)
-
-    @property
-    def kappa0_l(self) -> float:
-        return self.laminar_friction / (self.epsilon * self.c_ref)
 
 
 def classify_regime(s: ScalingRegime) -> RegimeClass:
@@ -450,7 +434,3 @@ def classify_regime(s: ScalingRegime) -> RegimeClass:
         return RegimeClass.BOUSSINESQ
     return RegimeClass.OUT_OF_ASYMPTOTIC_RANGE
 
-
-def free_surface(state: FlowState, bathy: BathymetryField, grid: Grid) -> np.ndarray:
-    """Free-surface elevation ``eta_i = z_b(x_i, t) + H_i``."""
-    return bathy.elevation(grid.cell_centers, state.t) + state.H

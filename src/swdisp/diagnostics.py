@@ -9,8 +9,8 @@ depth-integrated viscous dissipation, bed-friction dissipation (neither for
 the inviscid tier), and the work done by a moving bottom.  The extended
 energy adds the vertical kinetic energy of the tier's vertical-velocity
 closure (and the modified-height kinetic correction of the fully nonlinear
-tier).  :func:`energy_reports` computes each state's report on the field
-bundle that its time step and stages use.
+tier).  :func:`energy_report` computes a state's report on the field bundle
+that its time step and stages use.
 
 Phase speeds are measured by projecting the free surface onto a single
 Fourier mode and fitting the phase drift over time.
@@ -30,7 +30,7 @@ __all__ = [
     "EnergyReport",
     "energy_hydro",
     "energy_extended",
-    "energy_reports",
+    "energy_report",
     "attach_measured_rates",
     "measure_dispersion",
     "ConvergenceRow",
@@ -62,34 +62,28 @@ class EnergyReport:
 
 def energy_hydro(state, bathy, params, grid):
     """Hydrostatic energy report (E_ext coincides with E_h here): the
-    :func:`energy_reports` of ``state`` alone."""
-    return energy_reports([state], bathy, params, grid,
-                          ModelTier.HYDROSTATIC)[0]
+    :func:`energy_report` of ``state`` on the hydrostatic tier."""
+    return energy_report(state, bathy, params, grid, ModelTier.HYDROSTATIC)
 
 
 def energy_extended(state, bathy, params, grid, tier):
     """Energy report including the tier's vertical kinetic energy: the
-    :func:`energy_reports` of ``state`` alone."""
+    :func:`energy_report` of ``state`` on a dispersive ``tier``."""
     if tier is ModelTier.HYDROSTATIC:
         raise ValueError("the hydrostatic tier has no extended energy; "
                          "use energy_hydro")
-    return energy_reports([state], bathy, params, grid, tier)[0]
+    return energy_report(state, bathy, params, grid, tier)
 
 
-def energy_reports(states, bathy, params, grid, tier, *, context=None):
-    """One :class:`EnergyReport` per state, each computed on its state's
-    field bundle.  The hydrostatic tier reports ``E_ext = E_h``; the
-    inviscid tier's budget carries no viscous or friction dissipation.
-    ``context`` is the run's ``models._RunContext`` (built when absent; one
-    built from other ``bathy``, ``params`` or ``grid`` raises
-    ``ValueError``)."""
+def energy_report(state, bathy, params, grid, tier, *, context=None):
+    """The :class:`EnergyReport` of ``state``, computed on its field
+    bundle.  The hydrostatic tier reports ``E_ext = E_h``; the inviscid
+    tier's budget carries no viscous or friction dissipation.  ``context``
+    is the run's ``models._RunContext`` (built when absent; one built from
+    other ``bathy``, ``params`` or ``grid`` raises ``ValueError``)."""
     context = _RunContext.of(context, bathy, params, grid)
-    return [_report(context.fields(s), context, tier) for s in states]
-
-
-def _report(f, context, tier):
-    """The :class:`EnergyReport` of the state whose bundle is ``f``."""
-    params, dx, H, u = context.params, f.dx, f.H, f.u
+    f = context.fields(state)
+    dx, H, u = f.dx, f.H, f.u
     kappa_ring = _ring_kappa(f, tier)
 
     E_h = H * u**2 / 2 + params.g * H * (f.eta + f.zb) / 2

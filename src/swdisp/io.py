@@ -38,7 +38,7 @@ __all__ = [
     "ConfigError", "LakeAtRest", "DamBreak", "MonochromaticWave",
     "GaussianHump", "Manufactured", "OutputSpec", "ScenarioConfig",
     "load_config", "write_config", "validate_config", "build_initial_state",
-    "regime_scales", "regime_verdict", "write_snapshot", "write_timeseries",
+    "regime_scales", "write_snapshot", "write_timeseries",
     "write_manifest",
 ]
 
@@ -460,13 +460,7 @@ def regime_scales(cfg: ScenarioConfig) -> ScalingRegime:
         wavelength = cfg.grid.length
 
     return ScalingRegime(depth=depth, wavelength=float(wavelength),
-                         amplitude=amplitude, gravity=cfg.params.g,
-                         viscosity=cfg.params.nu,
-                         laminar_friction=cfg.params.k_l)
-
-
-def regime_verdict(cfg: ScenarioConfig) -> RegimeClass:
-    return _verdict(regime_scales(cfg))
+                         amplitude=amplitude)
 
 
 def _verdict(scales: ScalingRegime) -> RegimeClass:

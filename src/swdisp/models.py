@@ -261,15 +261,6 @@ class BandedMatrix:
                  for what, i in found.items() if i.size]
         return f" ({', '.join(named)})" if named else ""
 
-    def todense(self):
-        """Dense ``(n, n)`` copy (for diagnostics and small-system checks)."""
-        A = (np.diag(self.bands[1]) + np.diag(self.bands[0, 1:], 1)
-             + np.diag(self.bands[2, :-1], -1))
-        if self.corners:
-            A[0, -1] += self.corners[0]
-            A[-1, 0] += self.corners[1]
-        return A
-
     def matvec(self, x):
         """Product ``A @ x``."""
         x = np.asarray(x, dtype=float)

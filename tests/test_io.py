@@ -27,7 +27,7 @@ from swdisp.solver import StepControls, run_simulation
 from swdisp.io import (ConfigError, DamBreak, GaussianHump, LakeAtRest,
                        Manufactured, MonochromaticWave, OutputSpec,
                        ScenarioConfig, build_initial_state, load_config,
-                       regime_verdict, write_config, write_manifest,
+                       write_config, write_manifest,
                        write_snapshot, write_timeseries)
 from swdisp.models import ModelTier, _RunContext
 
@@ -567,6 +567,28 @@ def test_snapshot_base_columns(tmp_path):
     np.testing.assert_allclose(data[:, 4], -1.0)
 
 
+def test_snapshot_eta_is_bed_plus_depth(tmp_path):
+    """The eta column is z_b(x, t) + H: the bed itself on dry cells, and
+    the surface over a moving bump at a time after the start."""
+    grid = Grid(-3.0, 5.0, 24)
+    bathy = BathymetryField(GaussianBump(center=1.0, width=0.8, amplitude=1.4,
+                                         level=-1.0),
+                            SinusoidMotion(amplitude=0.01, angular_frequency=2.0))
+    t = 0.3
+    zb = bathy.elevation(grid.cell_centers, t)
+    H = np.maximum(0.1 * np.sin(grid.cell_centers) - zb, 0.0)
+    assert 0 < np.count_nonzero(H == 0.0) < H.size
+    path = tmp_path / "snap.csv"
+    write_snapshot(FlowState(t=t, H=H, q=np.zeros_like(H)), bathy,
+                   PhysicalParams(), grid, ModelTier.HYDROSTATIC, path)
+    _, header, data = _read_csv(path)
+    assert header[1] == "H" and header[3:] == ["eta", "z_b"]
+    np.testing.assert_array_equal(data[:, 1], H)
+    np.testing.assert_array_equal(data[:, 4], zb)
+    np.testing.assert_array_equal(data[:, 3], zb + H)
+    np.testing.assert_array_equal(data[H == 0.0, 3], zb[H == 0.0])
+
+
 def test_snapshot_derived_columns(tmp_path):
     cfg, state = _make_run(tmp_path, fields="w_bottom, w_surface, p_bottom")
     # give the flow some structure so the derived columns are nontrivial
@@ -860,7 +882,6 @@ tier = NonHydro1
 t_end = 0.1
 """
     cfg = _load(tmp_path, text)
-    assert regime_verdict(cfg).value == "Boussinesq"
     path = tmp_path / "manifest.txt"
     built = []
 
@@ -878,4 +899,6 @@ t_end = 0.1
 
 def test_regime_verdict_for_still_water_is_long_wave(tmp_path):
     cfg = _load(tmp_path, MINIMAL)
-    assert regime_verdict(cfg).value == "SaintVenant"
+    path = tmp_path / "manifest.txt"
+    write_manifest(cfg, path)
+    assert "regime = SaintVenant" in path.read_text().splitlines()

@@ -32,6 +32,8 @@ from swdisp.models import (
     steady_residual,
 )
 
+from oracles import dense
+
 G = 9.81
 
 
@@ -223,7 +225,7 @@ def test_flat_bottom_operator_matches_dense_construction(tier):
     state = smooth_random_state(grid, bathy, rng, eta0=0.0, eta_amp=0.05, u_amp=0.1)
     sys = assemble_dispersive(state, bathy, params, grid, tier)
     expected = np.diag(state.H) - (z0**3 / 3.0) * dense_second_difference(24, grid.dx)
-    np.testing.assert_allclose(sys.A.todense(), expected, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(dense(sys.A), expected, rtol=0, atol=1e-11)
 
 
 def test_flat_bottom_operator_nonhydro2_linearizes_to_same_stencil():
@@ -233,8 +235,8 @@ def test_flat_bottom_operator_nonhydro2_linearizes_to_same_stencil():
     bathy = BathymetryField(FlatBed(level=z0))
     params = PhysicalParams(g=G, nu=1e-3)
     state = lake_at_rest(grid, bathy, eta0=0.0)
-    A1 = assemble_dispersive(state, bathy, params, grid, ModelTier.NONHYDRO1).A.todense()
-    A2 = assemble_dispersive(state, bathy, params, grid, ModelTier.NONHYDRO2).A.todense()
+    A1 = dense(assemble_dispersive(state, bathy, params, grid, ModelTier.NONHYDRO1).A)
+    A2 = dense(assemble_dispersive(state, bathy, params, grid, ModelTier.NONHYDRO2).A)
     np.testing.assert_allclose(A2, A1, rtol=0, atol=1e-12)
 
 
@@ -269,7 +271,7 @@ def test_vanishing_bottom_reduces_to_hydrostatic():
     F_hydro = dqdt - u * dHdt
     for tier in (ModelTier.NONHYDRO1, ModelTier.HYDROSTATIC):
         sys = assemble_dispersive(state, bathy, params, grid, tier)
-        np.testing.assert_allclose(sys.A.todense(), np.diag(H), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dense(sys.A), np.diag(H), rtol=0, atol=1e-14)
         np.testing.assert_allclose(sys.F - sys.friction * u, F_hydro,
                                    rtol=0, atol=1e-14)
         np.testing.assert_allclose(sys.dHdt, dHdt, rtol=0, atol=0.0)
@@ -286,7 +288,7 @@ def test_operator_is_diagonally_dominant_on_random_states(tier):
     for _ in range(10):
         state = smooth_random_state(grid, bathy, rng, eta_amp=0.15, u_amp=0.5)
         sys = assemble_dispersive(state, bathy, params, grid, tier)
-        A = sys.A.todense()
+        A = dense(sys.A)
         diag = np.abs(np.diag(A))
         off = np.sum(np.abs(A), axis=1) - diag
         assert np.all(diag > off)
@@ -300,7 +302,7 @@ def test_implicit_solve_reproduces_dense_solution():
     state = smooth_random_state(grid, bathy, rng)
     sys = assemble_dispersive(state, bathy, params, grid, ModelTier.NONHYDRO1)
     a_banded = sys.A.solve(sys.F)
-    a_dense = np.linalg.solve(sys.A.todense(), sys.F)
+    a_dense = np.linalg.solve(dense(sys.A), sys.F)
     np.testing.assert_allclose(a_banded, a_dense, rtol=1e-11, atol=1e-13)
 
 
@@ -418,7 +420,7 @@ def test_dry_cells_are_decoupled(tier, boundary):
         dry = np.flatnonzero(H < DRY_THRESHOLD)
         assert 0 < dry.size < n // 2
         system = assemble_dispersive(state, bathy, params, grid, tier)
-        A = system.A.todense()
+        A = dense(system.A)
         for i in dry:
             row = np.zeros(n)
             row[i] = 1.0
@@ -615,6 +617,6 @@ def test_nonhydro2_forcing_matches_term_by_term_form(boundary, moving, k_t):
     want_residual = steady_residual(state, bathy, params, grid,
                                     ModelTier.HYDROSTATIC) + extras
     for got, want in ((system.F, hydro.F + forcing),
-                      (system.A.todense(), _nh2_dense_operator(f, boundary)),
+                      (dense(system.A), _nh2_dense_operator(f, boundary)),
                       (residual, want_residual)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -30,6 +30,8 @@ from swdisp.models import ModelTier
 from swdisp.solver import (BandedMatrix, SolverError, StepControls, run_simulation,
                            stable_dt, step)
 
+from oracles import dense
+
 G = 9.81
 
 
@@ -82,11 +84,11 @@ def test_banded_solve_matches_dense(boundary):
         if n == 13:  # diagonal-only: solved by division
             stencils = {0: stencils[0]}
         A = banded_from_stencils(stencils, boundary)
-        dense = dense_from_stencils(stencils, n, boundary)
-        np.testing.assert_allclose(A.todense(), dense, atol=1e-14)
+        expected = dense_from_stencils(stencils, n, boundary)
+        np.testing.assert_allclose(dense(A), expected, atol=1e-14)
         b = rng.standard_normal(n)
         x = A.solve(b)
-        np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(x, np.linalg.solve(expected, b), rtol=1e-11, atol=1e-13)
         np.testing.assert_allclose(A.matvec(x), b, rtol=1e-10, atol=1e-12)
 
 
@@ -182,13 +184,13 @@ def test_decouple_gives_identity_rows_and_columns(boundary):
     for cut in ([3], [4, 5, 9], [0, 1], [10, 11], [0, 6, 11]):
         stencils = random_stencils(n, rng)
         A = banded_from_stencils(stencils, boundary)
-        dense = dense_from_stencils(stencils, n, boundary)
-        dense[cut, :] = dense[:, cut] = 0.0
-        dense[cut, cut] = 1.0
+        expected = dense_from_stencils(stencils, n, boundary)
+        expected[cut, :] = expected[:, cut] = 0.0
+        expected[cut, cut] = 1.0
         mask = np.zeros(n, dtype=bool)
         mask[cut] = True
         A.decouple(mask)
-        np.testing.assert_array_equal(A.todense(), dense)
+        np.testing.assert_array_equal(dense(A), expected)
         assert bool(A.corners) == (boundary is Boundary.PERIODIC
                                    and not (mask[0] or mask[-1]))
         b = rng.standard_normal(n)
@@ -769,7 +771,7 @@ def test_context_from_other_objects_is_refused():
     """A run context stands in for the bed, boundary and parameters it was
     built from, so a public function handed one built from other objects
     raises instead of computing with stale fields."""
-    from swdisp.diagnostics import energy_reports
+    from swdisp.diagnostics import energy_report
     from swdisp.models import _RunContext, assemble_dispersive
 
     grid = Grid(0.0, 10.0, 16, Boundary.PERIODIC)
@@ -789,8 +791,7 @@ def test_context_from_other_objects_is_refused():
         calls = [lambda: step(s, b, p, g, tier, 1e-3, context=context),
                  lambda: assemble_dispersive(s, b, p, g, tier,
                                              context=context),
-                 lambda: energy_reports([s], b, p, g, tier,
-                                        context=context)]
+                 lambda: energy_report(s, b, p, g, tier, context=context)]
         if "bathy" not in other:
             calls.append(lambda: stable_dt(s, p, g, StepControls(t_end=1.0),
                                            context=context))
@@ -930,30 +931,35 @@ def test_blow_up_ends_with_the_solver_error_and_no_numpy_warning():
 
 
 def test_a_step_error_names_its_step_and_time(monkeypatch):
-    """The blow-up above stops in a step's solve; the error keeps the
-    solve's text and ends with the number of that step and the time it
-    started from."""
-    grid = Grid(0.0, 10.0, 256, Boundary.WALL)
-    x = grid.cell_centers
+    """A solve that fails in a step stops the run with the solve's text and
+    the number of that step and the time it started from; the solve's
+    error is the cause.  The fourth step's first solve fails here."""
+    grid = Grid(0.0, 10.0, 32, Boundary.WALL)
     bathy = BathymetryField(GaussianBump(center=5.0, width=1.0,
-                                         amplitude=0.5, level=-1.0))
-    eta = 0.05 * np.exp(-0.5 * ((x - 3.0) / 0.5)**2)
-    H = lake_at_rest(grid, bathy, eta0=eta).H
-    starts = []
+                                         amplitude=0.3, level=-1.0))
+    x = grid.cell_centers
+    H = lake_at_rest(grid, bathy, eta0=0.05 * np.exp(-(x - 3.0)**2)).H
+    error = SolverError("banded solve failed: singular matrix")
+    starts, solves = [], []
 
     def recorded(state, *args, **kwargs):
         starts.append(state.t)
         return step(state, *args, **kwargs)
 
+    def failing(A, b):
+        solves.append(b)
+        if len(solves) == 7:  # two solves per step
+            raise error
+        return solve(A, b)
+
+    solve = BandedMatrix.solve
     monkeypatch.setattr(solver, "step", recorded)
+    monkeypatch.setattr(BandedMatrix, "solve", failing)
     with pytest.raises(SolverError) as err:
-        run_simulation(FlowState(t=0.0, H=H, q=0.1 * H), bathy,
+        run_simulation(FlowState(t=0.0, H=H, q=np.zeros_like(H)), bathy,
                        PhysicalParams(nu=1e-3, k_l=0.01), grid,
-                       ModelTier.NONHYDRO2, StepControls(t_end=0.5, cfl=0.45),
-                       collect_reports=False)
-    message = str(err.value)
-    assert message.startswith("banded solve failed: array must not contain "
-                              "infs or NaNs (")
-    assert message.endswith(f") at step {len(starts)}, t = {starts[-1]:.6g}")
-    assert len(starts) > 1 and 0.0 < starts[-1] < 0.5
-    assert isinstance(err.value.__cause__, SolverError)
+                       ModelTier.HYDROSTATIC, StepControls(t_end=1.0))
+    assert len(starts) == 4 and 0.0 < starts[-1] < 1.0
+    assert str(err.value) == ("banded solve failed: singular matrix at step "
+                              f"4, t = {starts[-1]:.6g}")
+    assert err.value.__cause__ is error
