@@ -588,6 +588,56 @@ def test_snapshot_eta_is_bed_plus_depth(tmp_path):
     np.testing.assert_array_equal(data[:, 3], zb + H)  # zb on dry cells
 
 
+def _snapshot_eta(state, bathy, grid, tmp_path):
+    """The eta column of ``state``'s snapshot."""
+    path = tmp_path / "eta.csv"
+    write_snapshot(state, bathy, PhysicalParams(), grid,
+                   ModelTier.HYDROSTATIC, path)
+    _, header, data = _read_csv(path)
+    assert header[3] == "eta"
+    return data[:, 3]
+
+
+def test_free_surface_flat_lake(tmp_path):
+    g = Grid(0.0, 1.0, 8)
+    bathy = BathymetryField(FlatBed(level=-1.0))
+    s = FlowState(t=0.0, H=np.ones(8), q=np.zeros(8))
+    np.testing.assert_allclose(_snapshot_eta(s, bathy, g, tmp_path),
+                               np.zeros(8), atol=0.0)
+
+
+def test_free_surface_dry_cell_carries_bottom(tmp_path):
+    g = Grid(0.0, 1.0, 8)
+    bathy = BathymetryField(FlatBed(level=2.0))
+    s = FlowState(t=0.0, H=np.zeros(8), q=np.zeros(8))
+    np.testing.assert_allclose(_snapshot_eta(s, bathy, g, tmp_path),
+                               2.0 * np.ones(8), atol=0.0)
+
+
+def test_free_surface_additivity(tmp_path):
+    g = Grid(0.0, 2 * np.pi, 32)
+    x = g.cell_centers
+    bathy = BathymetryField(FlatBed(level=-1.0))
+    H = 1.0 + 0.1 * np.sin(x)
+    s = FlowState(t=0.0, H=H, q=np.zeros_like(H))
+    np.testing.assert_allclose(_snapshot_eta(s, bathy, g, tmp_path),
+                               0.1 * np.sin(x), atol=1e-15)
+
+
+def test_free_surface_round_trip_identity(tmp_path):
+    g = Grid(-3.0, 5.0, 24)
+    bathy = BathymetryField(GaussianBump(center=1.0, width=0.8, amplitude=0.4,
+                                         level=-2.0))
+    rng = np.random.default_rng(7)
+    eta = 0.3 * rng.standard_normal(24)
+    zb = bathy.elevation(g.cell_centers, 0.0)
+    H = eta - zb
+    assert (H > 0).all()
+    s = FlowState(t=0.0, H=H, q=np.zeros(24))
+    np.testing.assert_allclose(_snapshot_eta(s, bathy, g, tmp_path), eta,
+                               rtol=0, atol=1e-14)
+
+
 def test_snapshot_derived_columns(tmp_path):
     cfg, state = _make_run(tmp_path, fields="w_bottom, w_surface, p_bottom")
     # give the flow some structure so the derived columns are nontrivial
